@@ -147,20 +147,3 @@ def gaussian_orbit_integral(
     d = split_w.v_part - split_v.v_part
     coupling = hermitian_data(c, d).omega
     return (2.0 * math.pi) ** (0.5 * g) * cmath.exp(1j * coupling - 0.5 * norm_sq(c))
-
-
-def stirling_ratio(a: int, b: int) -> float:
-    """log((a+b)!) minus its Stirling-in-a approximation.
-
-    Subtracts log(2 pi a)/2 + (a + b) log a - a from the exact
-    log-factorial; the residual tends to 0 as a grows with b fixed
-    (1/(12a) at b = 0) and drives the factorial-to-power comparison
-    behind the diagonal convergence rate.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if a + b < 0:
-        raise ValueError("a + b must be nonnegative")
-    return math.lgamma(a + b + 1.0) - (
-        0.5 * math.log(2.0 * math.pi * a) + (a + b) * math.log(a) - a
-    )

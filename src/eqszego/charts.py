@@ -84,9 +84,6 @@ class BargmannChart:
     def chart_to_ambient(self, w) -> np.ndarray:
         return as_cvec(w)
 
-    def ambient_to_chart(self, v) -> np.ndarray:
-        return as_cvec(v)
-
     def log_a(self, w) -> float:
         return norm_sq(w)
 
@@ -185,11 +182,6 @@ class P1Chart:
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         frame_vec = self.unitary.conj().T @ np.array([0.0, 1.0], dtype=np.complex128)
         return w[0] * frame_vec
-
-    def ambient_to_chart(self, v) -> np.ndarray:
-        v = as_cvec(v)
-        frame_vec = self.unitary.conj().T @ np.array([0.0, 1.0], dtype=np.complex128)
-        return np.array([complex(np.vdot(frame_vec, v))])
 
     def log_a(self, w) -> float:
         w = np.asarray(w, dtype=np.complex128).reshape(-1)

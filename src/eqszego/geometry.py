@@ -139,9 +139,6 @@ class SplitFrame:
     def dim(self) -> int:
         return len(self.generators[0])
 
-    def split(self, w) -> "TangentSplit":
-        return split(self, w)
-
 
 @dataclass(frozen=True)
 class TangentSplit:

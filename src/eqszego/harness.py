@@ -1,10 +1,19 @@
 """Experiment runner: exact equivariant kernels against their predictions.
 
-Each experiment sweeps a schedule of bundle levels k, evaluates an exact
-kernel and the matching leading-order prediction, and reports per-level
-ratios together with least-squares convergence rates.  Assertions always
-compare against config tolerances; the functions return a report object
-and never raise on a failed tolerance (only on invalid configuration).
+The diagonal, offdiagonal and translated experiments share one scaling
+sweep.  At each level k of the schedule it divides the exact weight-sum
+kernel by the leading term (k/pi)^{n - g/2} A exp(Q) exp(psi2), where A
+is the stabilizer character average.  Diagonal evaluates at the center;
+the other two evaluate at chart displacements w/sqrt(k), v/sqrt(k), and
+translated first moves the first argument by a stabilizer element g0 and
+a unit fiber rotation h0, which twists A.  Levels where A vanishes
+(parity mismatches) are skipped, levels up to tol_oracle_k_max are
+recomputed by quadrature as an independent cross-check, and the log-log
+rate of |ratio - 1| is fitted over the upper half of the surviving
+schedule.  Decay, selection, crosscheck, gaussian and phase have their
+own runners.  Assertions always compare against config tolerances; the
+runners return a report object and never raise on a failed tolerance
+(only on invalid configuration).
 
 Config files are plain key = value text.  Recognized keys:
 
@@ -22,9 +31,12 @@ Config files are plain key = value text.  Recognized keys:
     g0           torus element angles (radians) for translated runs
     h0           unit complex fiber rotation for translated runs
     output       CSV report path
-    tol_*        real tolerance overrides (tol_final_ratio, tol_slope_max,
-                 tol_oracle_rel, tol_oracle_k_max, tol_rate_rel,
-                 tol_quad_rel, tol_rel, tol_stationary, tol_grid_min_imag)
+    tol_*        real overrides of the experiment's own tolerances; other
+                 keys are rejected.  diagonal, translated: tol_final_ratio,
+                 tol_slope_max; offdiagonal adds tol_oracle_rel and
+                 tol_oracle_k_max; decay: tol_rate_rel; selection:
+                 tol_quad_rel; crosscheck, gaussian: tol_rel; phase:
+                 tol_stationary, tol_grid_min_imag
 
 Unset keys fall back to per-experiment defaults.  CSV reports use the
 fixed header ``k,exact_logmod,exact_phase,pred_logmod,pred_phase,
@@ -42,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .asymptotics import a_factor, a_factor_general, gaussian_orbit_integral, leading_term
+from .asymptotics import a_factor_general, gaussian_orbit_integral, leading_term
 from .charts import bargmann_chart, chart_point, p1_chart
 from .geometry import build_split_frame, hermitian_data, norm_sq, split
 from .kernels import (
@@ -61,17 +73,6 @@ from .torus import (
     generators_at,
     moment_map,
     stabilizer_of,
-)
-
-EXPERIMENTS = (
-    "diagonal",
-    "offdiagonal",
-    "translated",
-    "decay",
-    "selection",
-    "crosscheck",
-    "gaussian",
-    "phase",
 )
 
 CSV_HEADER = "k,exact_logmod,exact_phase,pred_logmod,pred_phase,ratio_re,ratio_im,abs_ratio_err"
@@ -213,8 +214,14 @@ def make_config(
         raise ValueError("k_schedule entries must be positive")
     if any(b <= a for a, b in zip(k_schedule, k_schedule[1:])):
         raise ValueError("k_schedule must be strictly increasing")
-    tols = dict(_DEFAULT_TOLERANCES.get(experiment, {}))
+    tols = dict(_DEFAULT_TOLERANCES[experiment])
     if tolerances:
+        unknown = sorted(set(tolerances) - set(tols))
+        if unknown:
+            raise ValueError(
+                f"unknown tolerance {', '.join(unknown)} for {experiment} "
+                f"(known: {', '.join(sorted(tols))})"
+            )
         tols.update({k: float(x) for k, x in tolerances.items()})
     if trials is None:
         trials = 60 if experiment == "crosscheck" else 120
@@ -222,6 +229,10 @@ def make_config(
         g0 = tuple(float(a) for a in g0)
         if len(g0) != weights.g:
             raise ValueError("g0 angle count must match the torus rank")
+    if h0 is not None:
+        h0 = complex(h0)
+        if abs(abs(h0) - 1.0) > 1e-9:
+            raise ValueError("h0 must be a unit complex number")
     config = ExperimentConfig(
         experiment=experiment,
         model=model,
@@ -233,7 +244,7 @@ def make_config(
         seed=_DEFAULT_SEED if seed is None else int(seed),
         trials=int(trials),
         g0=g0,
-        h0=None if h0 is None else complex(h0),
+        h0=h0,
         tolerances=tols,
         output_path=output_path,
     )
@@ -264,12 +275,6 @@ def _point_vector(config: ExperimentConfig) -> np.ndarray:
 
 
 # --- config file parsing ----------------------------------------------------
-
-
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    sign = "+" if z.imag >= 0 or math.isnan(z.imag) else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
 def parse_complex_vector(text: str) -> tuple[complex, ...]:
@@ -505,24 +510,13 @@ def _build_center(config: ExperimentConfig, need_chart: bool) -> _Center:
     )
 
 
-def _fit_loglog(ks, errs) -> tuple[float, float, float]:
-    x = np.log(np.asarray(ks, dtype=float))
-    y = np.log(np.asarray(errs, dtype=float))
+def _fit_line(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): slope, intercept, max residual."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return float(slope), float(intercept), resid
-
-
-def _fit_linear(ks, vals) -> tuple[float, float, float]:
-    x = np.asarray(ks, dtype=float)
-    y = np.asarray(vals, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.max(np.abs(y - (slope * x + intercept))))
-    return float(slope), float(intercept), resid
-
-
-def _upper_half(seq):
-    return seq[len(seq) // 2 :]
 
 
 def _relative_discrepancy(a: LogComplex, b: LogComplex) -> float:
@@ -533,7 +527,7 @@ def _relative_discrepancy(a: LogComplex, b: LogComplex) -> float:
 
 
 def _rate_checks(rows, tols, checks, fits) -> None:
-    """Shared ratio-convergence assertions for the scaling experiments."""
+    """Ratio-convergence assertions of the scaling sweep."""
     if len(rows) < 4:
         checks.append(Check("levels", False, f"only {len(rows)} usable levels in the schedule"))
         return
@@ -548,12 +542,12 @@ def _rate_checks(rows, tols, checks, fits) -> None:
             f"|ratio - 1| = {final_err:.3e} at k = {final.k} (tolerance {tols['final_ratio']:.3g})",
         )
     )
-    upper = _upper_half(rows)
+    upper = rows[len(rows) // 2 :]
     pts = [(r.k, abs(r.ratio - 1.0)) for r in upper if abs(r.ratio - 1.0) > 1e-14]
     if len(pts) < 2:
         checks.append(Check("slope", True, "ratio exact to roundoff; no rate to fit"))
         return
-    slope, intercept, resid = _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
+    slope, intercept, resid = _fit_line(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]))
     fits["slope"] = slope
     fits["intercept"] = intercept
     fits["fit_residual"] = resid
@@ -570,65 +564,66 @@ def _rate_checks(rows, tols, checks, fits) -> None:
 # experiments
 
 
-def run_diagonal(config: ExperimentConfig) -> ExperimentReport:
-    """Diagonal scaling: exact kernel at the center against the prediction.
+def _translation(config: ExperimentConfig, center: _Center):
+    """(g0, h0) moving the first argument of a translated run.
 
-    Levels whose character average vanishes (parity mismatches) are
-    skipped; the report fits the log-log rate of |ratio - 1| over the
-    upper half of the surviving schedule.
+    g0 defaults to pi in every angle and h0 to a seeded random unit
+    rotation.  g0 must sit in the stabilizer of the center so both
+    arguments stay in one chart.
     """
-    center = _build_center(config, need_chart=False)
+    angles = config.g0 if config.g0 is not None else (math.pi,) * center.weights.g
+    g0 = TorusElement(tuple(angles))
+    if config.h0 is not None:
+        h0 = config.h0
+    else:
+        h0 = cmath.exp(1j * np.random.default_rng(config.seed).uniform(0.0, 2.0 * math.pi))
+    h0 = h0 / abs(h0)
+    moved_center = act_affine(center.weights, g0, center.point)
+    if center.model == "projective":
+        overlap = abs(complex(np.vdot(center.point, moved_center)))
+        stabilized = abs(overlap - norm_sq(center.point)) <= 1e-9
+    else:
+        stabilized = float(np.max(np.abs(moved_center - center.point))) <= 1e-9
+    if not stabilized:
+        raise ValueError("g0 must stabilize the center point")
+    return g0, h0
+
+
+def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
+    """The scaling sweep of the module docstring; diagonal splits are 0."""
+    diagonal = config.experiment == "diagonal"
+    translated = config.experiment == "translated"
+    center = _build_center(config, need_chart=not diagonal)
     tols = config.tolerances
-    zero = np.zeros(center.weights.n_coords, dtype=np.complex128)
-    s0 = split(center.frame, zero)
-    bp = center.bundle_point()
-    rows: list[ConvergenceRow] = []
-    for k in config.k_schedule:
-        amp = a_factor(config.irrep, k, center.stab, center.multipliers, center.v_eff)
-        if amp == 0.0:
-            continue
-        exact = equivariant_kernel_weightsum(
-            center.weights, config.irrep, k, bp, bp, center.model
-        )
-        pred = leading_term(config.irrep, k, center.n, center.g, amp, s0, s0).value
-        rows.append(make_row(k, exact, pred))
-    if not rows:
-        raise ValueError("empty parity-matched schedule")
-    fits: dict[str, float] = {}
-    checks: list[Check] = []
-    _rate_checks(rows, tols, checks, fits)
-    return ExperimentReport("diagonal", rows, fits, checks)
-
-
-def _displacement_arrays(config: ExperimentConfig, center: _Center):
-    w = np.asarray(config.displacements[0], dtype=np.complex128)
-    v = np.asarray(config.displacements[1], dtype=np.complex128)
-    expect = center.chart.n
-    if len(w) != expect or len(v) != expect:
-        raise ValueError(f"displacements must have {expect} chart coordinates")
-    return w, v
-
-
-def run_offdiagonal(config: ExperimentConfig) -> ExperimentReport:
-    """Off-diagonal scaling at displacements w/sqrt(k), v/sqrt(k).
-
-    Exact kernels come from the weight sum; levels at or below the
-    oracle cutoff are recomputed with the quadrature kernel as an
-    independent cross-check.
-    """
-    center = _build_center(config, need_chart=True)
-    tols = config.tolerances
-    w, v = _displacement_arrays(config, center)
-    sw = split(center.frame, center.chart.chart_to_ambient(w))
-    sv = split(center.frame, center.chart.chart_to_ambient(v))
+    g0, h0 = _translation(config, center) if translated else (None, 1.0 + 0.0j)
+    if diagonal:
+        sw = sv = split(center.frame, np.zeros(center.weights.n_coords, dtype=np.complex128))
+    else:
+        w = np.asarray(config.displacements[0], dtype=np.complex128)
+        v = np.asarray(config.displacements[1], dtype=np.complex128)
+        if len(w) != center.chart.n or len(v) != center.chart.n:
+            raise ValueError(f"displacements must have {center.chart.n} chart coordinates")
+        sw = split(center.frame, center.chart.chart_to_ambient(w))
+        sv = split(center.frame, center.chart.chart_to_ambient(v))
     rows: list[ConvergenceRow] = []
     oracle_max = None
     for k in config.k_schedule:
-        amp = a_factor(config.irrep, k, center.stab, center.multipliers, center.v_eff)
+        amp = a_factor_general(
+            config.irrep, k, center.stab, center.multipliers, center.v_eff, g0, h0
+        )
         if amp == 0.0:
             continue
-        pw = chart_point(center.chart, k, w)
-        pv = chart_point(center.chart, k, v)
+        if diagonal:
+            pw = pv = center.bundle_point()
+        else:
+            pw = chart_point(center.chart, k, w)
+            pv = chart_point(center.chart, k, v)
+        if translated:
+            if center.model == "projective":
+                pw = h0 * act_affine(center.weights, g0, pw)
+            else:
+                vec, ang = pw
+                pw = (act_affine(center.weights, g0, vec), ang + cmath.phase(h0))
         exact = equivariant_kernel_weightsum(
             center.weights, config.irrep, k, pw, pv, center.model
         )
@@ -660,73 +655,8 @@ def run_offdiagonal(config: ExperimentConfig) -> ExperimentReport:
                     f"(tolerance {tols['oracle_rel']:.3g})",
                 )
             )
-    return ExperimentReport("offdiagonal", rows, fits, checks)
-
-
-def run_translated(
-    config: ExperimentConfig,
-    g0: TorusElement | None = None,
-    h0: complex | None = None,
-) -> ExperimentReport:
-    """Off-diagonal scaling with the first argument moved by (g0, h0).
-
-    g0 must sit in the stabilizer of the center so both arguments stay
-    in one chart; the prediction uses the translated character average.
-    """
-    center = _build_center(config, need_chart=True)
-    tols = config.tolerances
-    if g0 is None:
-        angles = config.g0 if config.g0 is not None else (math.pi,) * center.weights.g
-        g0 = TorusElement(tuple(angles))
-    elif not isinstance(g0, TorusElement):
-        g0 = TorusElement(tuple(float(a) for a in g0))
-    if h0 is None:
-        if config.h0 is not None:
-            h0 = complex(config.h0)
-        else:
-            u = np.random.default_rng(config.seed).uniform(0.0, 2.0 * math.pi)
-            h0 = cmath.exp(1j * u)
-    if abs(abs(h0) - 1.0) > 1e-9:
-        raise ValueError("h0 must be a unit complex number")
-    h0 = h0 / abs(h0)
-
-    moved_center = act_affine(center.weights, g0, center.point)
-    if center.model == "projective":
-        overlap = abs(complex(np.vdot(center.point, moved_center)))
-        if abs(overlap - norm_sq(center.point)) > 1e-9:
-            raise ValueError("g0 must stabilize the center point")
-    else:
-        if float(np.max(np.abs(moved_center - center.point))) > 1e-9:
-            raise ValueError("g0 must stabilize the center point")
-
-    w, v = _displacement_arrays(config, center)
-    sw = split(center.frame, center.chart.chart_to_ambient(w))
-    sv = split(center.frame, center.chart.chart_to_ambient(v))
-    rows: list[ConvergenceRow] = []
-    for k in config.k_schedule:
-        amp = a_factor_general(
-            config.irrep, k, center.stab, center.multipliers, center.v_eff, g0, h0
-        )
-        if amp == 0.0:
-            continue
-        pw = chart_point(center.chart, k, w)
-        pv = chart_point(center.chart, k, v)
-        if center.model == "projective":
-            pw = h0 * act_affine(center.weights, g0, pw)
-        else:
-            vec, ang = pw
-            pw = (act_affine(center.weights, g0, vec), ang + cmath.phase(h0))
-        exact = equivariant_kernel_weightsum(
-            center.weights, config.irrep, k, pw, pv, center.model
-        )
-        pred = leading_term(config.irrep, k, center.n, center.g, amp, sw, sv).value
-        rows.append(make_row(k, exact, pred))
-    if not rows:
-        raise ValueError("empty parity-matched schedule")
-    fits: dict[str, float] = {}
-    checks: list[Check] = []
-    _rate_checks(rows, tols, checks, fits)
-    return ExperimentReport("translated", rows, fits, checks, seed=config.seed)
+    seed = config.seed if translated else None
+    return ExperimentReport(config.experiment, rows, fits, checks, seed=seed)
 
 
 def run_decay(config: ExperimentConfig) -> ExperimentReport:
@@ -751,7 +681,7 @@ def run_decay(config: ExperimentConfig) -> ExperimentReport:
         logmods.append(exact.log_mod)
     if len(ks) < 3:
         raise ValueError("need at least three nonzero levels to fit a decay rate")
-    slope, intercept, resid = _fit_linear(ks, logmods)
+    slope, intercept, resid = _fit_line(ks, logmods)
     rate = -slope
     fits = {"rate": rate, "intercept": intercept, "fit_residual": resid}
     checks = [
@@ -1044,15 +974,16 @@ def run_phase(config: ExperimentConfig) -> ExperimentReport:
 
 
 _RUNNERS = {
-    "diagonal": run_diagonal,
-    "offdiagonal": run_offdiagonal,
-    "translated": run_translated,
+    "diagonal": _run_scaling,
+    "offdiagonal": _run_scaling,
+    "translated": _run_scaling,
     "decay": run_decay,
     "selection": run_selection,
     "crosscheck": run_crosscheck,
     "gaussian": run_gaussian,
     "phase": run_phase,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -42,6 +42,8 @@ class LogComplex:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        # a numpy scalar would reach CSV reports as "np.float64(...)"
+        object.__setattr__(self, "log_mod", float(self.log_mod))
         if math.isnan(self.log_mod):
             raise ValueError("log_mod is NaN")
         if self.log_mod == NEG_INF:
@@ -65,12 +67,6 @@ class LogComplex:
         if z == 0:
             return LogComplex.zero()
         return LogComplex(math.log(abs(z)), cmath.phase(z))
-
-    @staticmethod
-    def from_log(w: complex) -> "LogComplex":
-        """The value exp(w) for an ordinary complex exponent w."""
-        w = complex(w)
-        return LogComplex(w.real, w.imag)
 
     # -- queries -----------------------------------------------------------
 
@@ -116,10 +112,6 @@ class LogComplex:
                 raise ZeroDivisionError("negative power of exact zero")
             return LogComplex.zero()
         return LogComplex(k * self.log_mod, wrap_phase(k * wrap_phase(self.phase)))
-
-    def scale(self, c: complex) -> "LogComplex":
-        """Multiply by an ordinary complex number."""
-        return self * LogComplex.from_complex(c)
 
 
 def log_diff_mod(a: LogComplex, b: LogComplex) -> float:

@@ -17,12 +17,11 @@ import pytest
 from eqszego.asymptotics import a_factor
 from eqszego.charts import bargmann_chart, p1_chart, verify_frame
 from eqszego.geometry import build_split_frame, hermitian_data, model_phase, norm_sq, split
-from eqszego.harness import make_config, run_experiment, run_translated
+from eqszego.harness import make_config, run_experiment
 from eqszego.kernels import equivariant_kernel_weightsum, isotypic_sum, projective_kernel
 from eqszego.logcomplex import log_diff_mod
 from eqszego.torus import (
     IrrepLabel,
-    TorusElement,
     WeightMatrix,
     effective_volume,
     fiber_multiplier,
@@ -156,8 +155,7 @@ def test_criterion_05_projective_offdiagonal():
 def test_criterion_06_translated_expansion():
     # first argument moved by the order-two stabilizer element and a
     # seeded random unit fiber rotation; same thresholds as criterion 4
-    cfg = make_config("translated")
-    rep = run_translated(cfg, g0=TorusElement((math.pi,)))
+    rep = run_experiment(make_config("translated", g0=(math.pi,)))
     ok = (
         rep.passed
         and rep.seed is not None

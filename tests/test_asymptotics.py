@@ -12,7 +12,6 @@ from eqszego.asymptotics import (
     a_factor_general,
     gaussian_orbit_integral,
     leading_term,
-    stirling_ratio,
 )
 from eqszego.geometry import build_split_frame, hermitian_data, norm_sq, split
 from eqszego.kernels import enumerate_indices
@@ -249,29 +248,3 @@ def test_gaussian_orbit_integral_guards():
         gaussian_orbit_integral(fa, sa, sb, 1)
     with pytest.raises(ValueError, match="rank"):
         gaussian_orbit_integral(fa, sa, sa, 2)
-
-
-# -- Stirling comparison ------------------------------------------------------
-
-
-def test_stirling_ratio_small_at_large_a():
-    assert 0.0 < stirling_ratio(100, 0) < 1e-3
-
-
-def test_stirling_ratio_leading_residual():
-    # residual at b = 0 is 1/(12a) + O(1/a^3)
-    for a in (10, 100, 1000):
-        res = stirling_ratio(a, 0)
-        assert abs(res - 1.0 / (12.0 * a)) < 1.0 / (a**3)
-
-
-def test_stirling_ratio_decreasing():
-    vals = [stirling_ratio(a, 2) for a in (10, 100, 1000)]
-    assert vals[0] > vals[1] > vals[2] > 0.0
-
-
-def test_stirling_ratio_guards():
-    with pytest.raises(ValueError):
-        stirling_ratio(0, 5)
-    with pytest.raises(ValueError):
-        stirling_ratio(3, -4)

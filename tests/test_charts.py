@@ -91,18 +91,15 @@ def test_bargmann_tangent_identity():
     ch = bargmann_chart(np.array([0.3, 0.4j]))
     w = np.array([1.0 - 2.0j, 0.5])
     np.testing.assert_array_equal(ch.chart_to_ambient(w), w)
-    np.testing.assert_array_equal(ch.ambient_to_chart(w), w)
 
 
 def test_p1_tangent_unitary():
-    # chart_to_ambient preserves the Hermitian product, and inverts
+    # chart_to_ambient preserves the Hermitian product, hence is injective
     ch = _balanced_p1()
     for a, b in ((0.3 + 0.1j, -0.2j), (1.0, 0.5 - 0.5j)):
         va = ch.chart_to_ambient(np.array([a]))
         vb = ch.chart_to_ambient(np.array([b]))
         assert complex(np.vdot(vb, va)) == pytest.approx(a * np.conj(b), abs=1e-14)
-        back = ch.ambient_to_chart(va)
-        assert complex(back[0]) == pytest.approx(a, abs=1e-14)
 
 
 def test_p1_tangent_is_tangent():

@@ -10,7 +10,6 @@ from eqszego.harness import (
     ExperimentReport,
     Check,
     config_from_mapping,
-    format_complex,
     make_config,
     make_row,
     parse_complex_vector,
@@ -18,7 +17,6 @@ from eqszego.harness import (
     parse_weight_rows,
     read_report_csv,
     run_experiment,
-    run_translated,
     write_report_csv,
 )
 from eqszego.logcomplex import LogComplex, log_diff_mod
@@ -78,11 +76,6 @@ def test_config_from_mapping_full_round():
     assert cfg.tolerances["final_ratio"] == 0.02
 
 
-def test_format_complex_round_trip():
-    for z in (0.25 - 0.125j, -1.5 + 0.0j, 3e-17 - 2.0j, complex(0.1, -0.0)):
-        assert complex(format_complex(z)) == z
-
-
 def test_parse_complex_vector():
     assert parse_complex_vector("1+2j 0.5") == (1 + 2j, 0.5 + 0j)
     with pytest.raises(ValueError):
@@ -108,6 +101,22 @@ def test_make_config_rejects_bad_schedule():
 def test_make_config_rejects_wrong_irrep_length():
     with pytest.raises(ValueError):
         make_config("diagonal", irrep=(0, 1))
+
+
+def test_make_config_rejects_foreign_tolerance():
+    # a typo, and a key that belongs to another experiment
+    with pytest.raises(ValueError, match="final_ration"):
+        make_config("diagonal", tolerances={"final_ration": 0.02})
+    with pytest.raises(ValueError, match="oracle_k_max"):
+        make_config("translated", tolerances={"oracle_k_max": 64.0})
+    cfg = make_config("offdiagonal", tolerances={"oracle_k_max": 64.0})
+    assert cfg.tolerances["oracle_k_max"] == 64.0
+
+
+def test_make_config_rejects_non_unit_h0():
+    with pytest.raises(ValueError, match="unit"):
+        make_config("translated", h0=0.5 + 0.0j)
+    assert make_config("translated", h0=1j).h0 == 1j
 
 
 def test_make_config_rejects_unknown_experiment():
@@ -235,11 +244,11 @@ def test_run_diagonal_short_schedule():
 
 
 def test_run_translated_guards():
-    cfg = make_config("translated", k_schedule=(16, 32, 64, 128))
+    ks = (16, 32, 64, 128)
     with pytest.raises(ValueError, match="unit"):
-        run_translated(cfg, h0=0.5 + 0.0j)
+        run_experiment(make_config("translated", k_schedule=ks, h0=0.5 + 0.0j))
     with pytest.raises(ValueError, match="stabilize"):
-        run_translated(cfg, g0=(0.5,))
+        run_experiment(make_config("translated", k_schedule=ks, g0=(0.5,)))
 
 
 def test_run_selection_needs_projective_line():
@@ -264,12 +273,24 @@ def test_cli_phase_exit_zero(capsys):
     assert "result: PASS" in out
 
 
-def test_cli_diagonal_writes_csv(tmp_path, capsys):
-    out = tmp_path / "diag.csv"
-    code = cli.main(["diagonal", "--k", "26 50 100 200", "--out", str(out)])
-    assert code == 0
-    rows, _ = read_report_csv(out)
-    assert [r.k for r in rows] == [26, 50, 100, 200]
+@pytest.mark.parametrize(
+    "argv, n_rows",
+    [
+        (["diagonal", "--k", "26 50 100 200"], 4),
+        # affine runs: their CSVs must read back too
+        (["offdiag"], 9),
+        (["crosscheck"], 60),
+    ],
+    ids=["diagonal", "offdiag", "crosscheck"],
+)
+def test_cli_writes_csv(argv, n_rows, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows, seed = read_report_csv(out)
+    assert len(rows) == n_rows
+    again = tmp_path / "again.csv"
+    write_report_csv(again, rows, seed=seed)
+    assert again.read_bytes() == out.read_bytes()
     assert "result: PASS" in capsys.readouterr().out
 
 

@@ -15,7 +15,7 @@ from eqszego.kernels import (
     monomial_section,
     projective_kernel,
 )
-from eqszego.logcomplex import log_diff_mod, ratio
+from eqszego.logcomplex import LogComplex, log_diff_mod, ratio
 from eqszego.torus import IrrepLabel, TorusElement, WeightMatrix, act_affine, character
 
 P1 = WeightMatrix(((-1, 1),))
@@ -246,7 +246,7 @@ def test_weightsum_character_twist():
         y /= math.sqrt(float(np.vdot(y, y).real))
         plain = equivariant_kernel_weightsum(P1, pi, k, x, y, "projective")
         moved = equivariant_kernel_weightsum(P1, pi, k, act_affine(P1, t, x), y, "projective")
-        expect = plain.scale(np.conj(character(pi, t)))
+        expect = plain * LogComplex.from_complex(np.conj(character(pi, t)))
         assert _rel(moved, expect) < 1e-12
 
 
