@@ -7,10 +7,9 @@ pair (log_mod, phase): the represented number is exp(log_mod + i*phase).
 log_mod = -inf encodes an exact zero (phase is then meaningless and
 pinned to 0.0).  Phases are normalized to (-pi, pi].
 
-Sums of many such values are accumulated by LogSum, which keeps a
-complex accumulator relative to the running maximum log-modulus and
-rescales whenever a larger term arrives, so no intermediate ever
-overflows and relative accuracy tracks the dominant terms.
+Sums of many such values go through log_sum_exp, which takes the terms
+as arrays and adds them relative to the largest log-modulus, so no
+intermediate overflows and relative accuracy tracks the dominant terms.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-NEG_INF = float("-inf")
+import numpy as np
 
-# Terms this far (in nats) below the accumulator's reference scale
-# cannot move a float64 sum and are skipped outright.
-_UNDERFLOW_NATS = 745.0
+NEG_INF = float("-inf")
 
 
 def wrap_phase(phase: float) -> float:
@@ -132,42 +129,19 @@ def ratio(a: LogComplex, b: LogComplex) -> complex:
     return (a / b).to_complex()
 
 
-class LogSum:
-    """Streaming sum of LogComplex terms with running-max rescaling."""
-
-    def __init__(self) -> None:
-        self._ref = NEG_INF  # reference log scale of the accumulator
-        self._acc = 0.0 + 0.0j
-        self.max_log_mod = NEG_INF  # largest term magnitude seen
-
-    def add(self, term: LogComplex) -> None:
-        if term.is_zero:
-            return
-        if term.log_mod > self.max_log_mod:
-            self.max_log_mod = term.log_mod
-        if self._ref == NEG_INF:
-            self._ref = term.log_mod
-            self._acc = cmath.exp(complex(0.0, term.phase))
-            return
-        delta = term.log_mod - self._ref
-        if delta > 0.0:
-            # new dominant term: rescale accumulator to the new reference
-            self._acc *= math.exp(-delta)
-            self._ref = term.log_mod
-            self._acc += cmath.exp(complex(0.0, term.phase))
-        elif delta > -_UNDERFLOW_NATS:
-            self._acc += cmath.exp(complex(delta, term.phase))
-        # else: term cannot affect the accumulator at all
-
-    def total(self) -> LogComplex:
-        if self._ref == NEG_INF or self._acc == 0.0:
-            return LogComplex.zero()
-        return LogComplex(self._ref + math.log(abs(self._acc)), cmath.phase(self._acc))
+def log_sum_exp(log_mods, phases) -> LogComplex:
+    """Sum of exp(log_mods + i*phases) over arrays, relative to the largest term."""
+    log_mods = np.asarray(log_mods, dtype=float)
+    top = log_mods.max(initial=NEG_INF)
+    if top == NEG_INF:
+        return LogComplex.zero()
+    total = complex(np.sum(np.exp((log_mods - top) + 1j * np.asarray(phases, dtype=float))))
+    if total == 0.0:
+        return LogComplex.zero()
+    return LogComplex(top + math.log(abs(total)), cmath.phase(total))
 
 
 def log_sum(terms) -> LogComplex:
     """Sum an iterable of LogComplex values."""
-    acc = LogSum()
-    for t in terms:
-        acc.add(t)
-    return acc.total()
+    terms = list(terms)
+    return log_sum_exp([t.log_mod for t in terms], [t.phase for t in terms])

@@ -243,6 +243,18 @@ def test_run_diagonal_short_schedule():
     assert rep.rows[-1].abs_ratio_error < 0.01
 
 
+def test_run_offdiagonal_rank_two_affine_sweep():
+    # each level's index set is one ray (j0 = j1 = j2), so the whole sweep
+    # to k = 2048 takes well under a second
+    ks = tuple(16 * 2**j for j in range(8))
+    cfg = make_config(
+        "offdiagonal", model="affine", weights=((1, -1, 0), (0, 1, -1)), irrep=(0, 0), k_schedule=ks
+    )
+    rep = run_experiment(cfg)
+    assert [r.k for r in rep.rows] == list(ks)
+    assert rep.checks and all(c.passed for c in rep.checks), rep.summary_lines()
+
+
 def test_run_translated_guards():
     ks = (16, 32, 64, 128)
     with pytest.raises(ValueError, match="unit"):

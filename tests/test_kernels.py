@@ -1,9 +1,13 @@
 import cmath
+import itertools
 import math
+import time
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from eqszego.kernels import (
@@ -146,8 +150,13 @@ def test_enumerate_indices_counts():
 
 
 def test_enumerate_indices_dimension_guard():
-    with pytest.raises(ValueError):
-        enumerate_indices(5, 3)
+    # C(1004, 4) ~ 4e10 points: the row budget stops it before the big step
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="rows"):
+        enumerate_indices(4, 1000)
+    assert time.perf_counter() - t0 < 1.0
+    # small enumerations in higher dimension are fine
+    assert len(enumerate_indices(5, 3)) == math.comb(8, 5)
 
 
 def test_enumerate_indices_rank_two_constraint():
@@ -164,6 +173,33 @@ def test_enumerate_indices_rank_two_constraint():
         if tuple(-(W.matrix @ np.array(J))) == pi.weights
     ]
     assert got == brute
+    with pytest.raises(ValueError, match="rank"):
+        enumerate_indices(2, 5, constraint=(W, IrrepLabel((-1,))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumerate_indices_matches_brute_force(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    g = data.draw(st.integers(0, 2), label="rank")
+    k = data.draw(st.integers(0, 6), label="k")
+    plain = [J for J in itertools.product(range(k + 1), repeat=n) if sum(J) == k]
+    if g == 0:
+        assert enumerate_indices(n - 1, k) == plain
+        return
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    mat = np.array(data.draw(st.lists(row, min_size=g, max_size=g), label="weights"))
+    zero_col = data.draw(st.integers(-1, n - 1), label="zero column")
+    if zero_col >= 0:
+        mat[:, zero_col] = 0
+    W = WeightMatrix(mat)
+    if data.draw(st.booleans(), label="hit"):
+        target = -(W.matrix @ np.array(data.draw(st.sampled_from(plain))))
+    else:
+        target = data.draw(st.lists(st.integers(-2 * k - 1, 2 * k + 1), min_size=g, max_size=g))
+    irrep = IrrepLabel(target)
+    want = [J for J in plain if tuple(-(W.matrix @ np.array(J))) == irrep.weights]
+    assert enumerate_indices(n - 1, k, constraint=(W, irrep)) == want
 
 
 # -- equivariant kernels: weight sum ------------------------------------------
@@ -219,6 +255,44 @@ def test_affine_weightsum_fiber_phase():
     base = equivariant_kernel_weightsum(P1, pi, k, (a, 0.0), (a, 0.0), "affine")
     shifted = equivariant_kernel_weightsum(P1, pi, k, (a, 0.25), (a, 0.0), "affine")
     assert ratio(shifted, base) == pytest.approx(cmath.exp(1j * k * 0.25), rel=1e-12)
+
+
+def test_projective_weightsum_zero_coordinates():
+    """x_l = 0 or y_l = 0 drops every index with j_l > 0."""
+    W = WeightMatrix(((-1, 1, 0),))
+    k = 7
+    full = np.array([0.5, 0.6 * cmath.exp(0.4j), 0.0])
+    full[2] = math.sqrt(1.0 - float(np.vdot(full, full).real))
+    other = np.array([0.3 * cmath.exp(-0.2j), 0.7, 0.5j])
+    other /= math.sqrt(float(np.vdot(other, other).real))
+    dead_x = np.array([0.0, 0.8, 0.6 * cmath.exp(1.1j)])
+    dead_y = np.array([0.6, 0.0, 0.8j])
+    for x, y in ((dead_x, other), (full, dead_y), (dead_x, dead_y)):
+        for pi0 in range(-k, k + 1):
+            pi = IrrepLabel((pi0,))
+            terms = [
+                (monomial_section(k, 2, J, x) * monomial_section(k, 2, J, y).conjugate()).to_complex()
+                for J in enumerate_indices(2, k, constraint=(W, pi))
+            ]
+            val = equivariant_kernel_weightsum(W, pi, k, x, y, "projective")
+            if not any(terms):
+                assert val.is_zero
+            else:
+                assert abs(val.to_complex() - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+def test_affine_weightsum_zero_coordinate_rank_two():
+    """a_0 = 0 leaves the j0 = 0 terms only; the quadrature agrees."""
+    W = WeightMatrix(((1, -1, 0), (0, 1, -1)))
+    a = np.array([0.0, 0.6, 0.5 * cmath.exp(0.3j)])
+    b = np.array([0.4, 0.5, 0.55 * cmath.exp(-0.2j)])
+    k = 20
+    for pi in ((2, 1), (0, 3), (3, -1), (4, 2)):
+        ws = equivariant_kernel_weightsum(W, IrrepLabel(pi), k, (a, 0.0), (b, 0.0), "affine")
+        quad = equivariant_kernel_quadrature(W, IrrepLabel(pi), k, (a, 0.0), (b, 0.0), "affine")
+        assert _rel(ws, quad) < 1e-10
+    # j1 = pi0 = -1 is impossible once j0 = 0
+    assert equivariant_kernel_weightsum(W, IrrepLabel((-1, 0)), k, (a, 0.0), (b, 0.0), "affine").is_zero
 
 
 def test_weightsum_diagonal_positivity():

@@ -7,9 +7,9 @@ import pytest
 from eqszego.logcomplex import (
     NEG_INF,
     LogComplex,
-    LogSum,
     log_diff_mod,
     log_sum,
+    log_sum_exp,
     ratio,
     wrap_phase,
 )
@@ -88,40 +88,34 @@ def test_logsum_matches_direct_summation():
     rng = np.random.default_rng(3)
     for _ in range(30):
         zs = [complex(rng.normal(), rng.normal()) for _ in range(40)]
-        acc = LogSum()
-        for z in zs:
-            acc.add(LogComplex.from_complex(z))
+        got = log_sum(LogComplex.from_complex(z) for z in zs).to_complex()
         direct = sum(zs)
-        got = acc.total().to_complex()
         assert abs(got - direct) <= 1e-12 * max(abs(z) for z in zs)
 
 
 def test_logsum_cancellation_to_zero():
-    acc = LogSum()
-    acc.add(LogComplex.from_complex(1.0))
-    acc.add(LogComplex.from_complex(-1.0))
-    total = acc.total()
+    total = log_sum([LogComplex.from_complex(1.0), LogComplex.from_complex(-1.0)])
     # exact cancellation of equal-magnitude terms
     assert total.is_zero or total.log_mod < -30.0
 
 
 def test_logsum_widely_separated_scales():
     # adding e^900 and 1: the small term must not disturb the big one
-    acc = LogSum()
-    acc.add(LogComplex(900.0, 0.0))
-    acc.add(LogComplex.one())
-    assert acc.total().log_mod == pytest.approx(900.0, abs=1e-12)
+    total = log_sum([LogComplex(900.0, 0.0), LogComplex.one()])
+    assert total.log_mod == pytest.approx(900.0, abs=1e-12)
 
 
-def test_log_sum_helper_agrees_with_streaming():
-    terms = [LogComplex.from_complex(z) for z in (1.0, 2.0j, -0.5, 0.25 - 0.25j)]
+def test_log_sum_agrees_with_log_sum_exp():
+    terms = [LogComplex.from_complex(z) for z in (1.0, 2.0j, -0.5, 0.25 - 0.25j, 0.0)]
     a = log_sum(terms)
-    acc = LogSum()
-    for t in terms:
-        acc.add(t)
-    b = acc.total()
-    assert a.log_mod == pytest.approx(b.log_mod, rel=1e-14)
-    assert wrap_phase(a.phase - b.phase) == pytest.approx(0.0, abs=1e-14)
+    b = log_sum_exp(np.array([t.log_mod for t in terms]), np.array([t.phase for t in terms]))
+    assert a == b
+    assert a.to_complex() == pytest.approx(1.0 + 2.0j - 0.5 + (0.25 - 0.25j), rel=1e-14)
+
+
+def test_log_sum_exp_empty_and_all_zero():
+    assert log_sum([]).is_zero
+    assert log_sum_exp(np.full(3, NEG_INF), np.zeros(3)).is_zero
 
 
 def test_log_diff_mod_identical_values():
