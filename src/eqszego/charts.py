@@ -28,10 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_cvec, hermitian_data, norm_sq
-from .torus import Stabilizer, TorusElement, WeightMatrix, fiber_multiplier, moment_map, stabilizer_of
+from .torus import (
+    ZERO_LEVEL_TOL,
+    Stabilizer,
+    TorusElement,
+    WeightMatrix,
+    fiber_multiplier,
+    moment_map,
+    stabilizer_of,
+)
 
 _FD_STEP = 1e-4
-_ZERO_LEVEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class P1Chart:
         if abs(nx - 1.0) > 1e-9:
             raise ValueError("center must be a unit vector")
         phi = moment_map(weights, x, "projective")
-        if float(np.max(np.abs(phi))) > _ZERO_LEVEL_TOL:
+        if float(np.max(np.abs(phi))) > ZERO_LEVEL_TOL:
             raise ValueError(f"center is not on the zero level: Phi = {phi}")
         self.center_base = x
         self.weights = weights

@@ -44,6 +44,19 @@ _HELP = {
 }
 
 
+# override flag (argparse dest) -> config key; g0 and h0 exist for translated only
+_OVERRIDES = {
+    "k": "k_schedule",
+    "irrep": "irrep",
+    "weights": "weights",
+    "point": "point",
+    "seed": "seed",
+    "out": "output",
+    "g0": "g0",
+    "h0": "h0",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqszego",
@@ -72,21 +85,10 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
-    for key, value in (
-        ("k_schedule", args.k),
-        ("irrep", args.irrep),
-        ("weights", args.weights),
-        ("point", args.point),
-        ("output", args.out),
-    ):
+    for flag, key in _OVERRIDES.items():
+        value = getattr(args, flag, None)
         if value is not None:
-            raw[key] = value
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    if getattr(args, "g0", None) is not None:
-        raw["g0"] = args.g0
-    if getattr(args, "h0", None) is not None:
-        raw["h0"] = args.h0
+            raw[key] = str(value)
 
     try:
         config = config_from_mapping(raw, experiment=args.experiment)

@@ -48,11 +48,11 @@ their seed in a leading ``# seed=`` comment line.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .asymptotics import a_factor_general, gaussian_orbit_integral, leading_term
 from .charts import bargmann_chart, chart_point, p1_chart
@@ -64,6 +64,7 @@ from .kernels import (
 )
 from .logcomplex import LogComplex, log_diff_mod, ratio
 from .torus import (
+    ZERO_LEVEL_TOL,
     IrrepLabel,
     TorusElement,
     WeightMatrix,
@@ -78,7 +79,6 @@ from .torus import (
 CSV_HEADER = "k,exact_logmod,exact_phase,pred_logmod,pred_phase,ratio_re,ratio_im,abs_ratio_err"
 
 _DEFAULT_SEED = 20260816
-_ZERO_LEVEL_TOL = 1e-8
 _OFF_LEVEL_MIN = 1e-6
 
 _DEFAULT_TOLERANCES = {
@@ -253,18 +253,14 @@ def make_config(
 
 
 def _check_point_precondition(config: ExperimentConfig) -> None:
-    if config.experiment in ("diagonal", "offdiagonal", "translated"):
-        z = _point_vector(config)
-        phi = moment_map(config.weights, z, config.model)
-        if float(np.max(np.abs(phi))) > _ZERO_LEVEL_TOL:
-            raise ValueError(
-                f"{config.experiment} needs a zero-level point; Phi = {phi}"
-            )
-    elif config.experiment == "decay":
-        z = _point_vector(config)
-        phi = moment_map(config.weights, z, config.model)
-        if float(np.max(np.abs(phi))) < _OFF_LEVEL_MIN:
-            raise ValueError("point is on the zero level; use the diagonal experiment")
+    if config.experiment not in ("diagonal", "offdiagonal", "translated", "decay"):
+        return
+    phi = moment_map(config.weights, _point_vector(config), config.model)
+    level = float(np.max(np.abs(phi)))
+    if config.experiment == "decay" and level < _OFF_LEVEL_MIN:
+        raise ValueError("point is on the zero level; use the diagonal experiment")
+    if config.experiment != "decay" and level > ZERO_LEVEL_TOL:
+        raise ValueError(f"{config.experiment} needs a zero-level point; Phi = {phi}")
 
 
 def _point_vector(config: ExperimentConfig) -> np.ndarray:
@@ -307,6 +303,27 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _tokens(kind):
+    return lambda text: tuple(kind(tok) for tok in text.split())
+
+
+# config key -> (make_config keyword, parser of its text value)
+_CONFIG_KEYS = {
+    "model": ("model", str),
+    "weights": ("weights", parse_weight_rows),
+    "point": ("point", parse_complex_vector),
+    "irrep": ("irrep", _tokens(int)),
+    "w": ("w", parse_complex_vector),
+    "v": ("v", parse_complex_vector),
+    "k_schedule": ("k_schedule", _tokens(int)),
+    "seed": ("seed", int),
+    "trials": ("trials", int),
+    "g0": ("g0", _tokens(float)),
+    "h0": ("h0", complex),
+    "output": ("output_path", str),
+}
+
+
 def config_from_mapping(raw: dict[str, str], experiment: str | None = None) -> ExperimentConfig:
     raw = dict(raw)
     exp = experiment or raw.pop("experiment", None)
@@ -318,30 +335,9 @@ def config_from_mapping(raw: dict[str, str], experiment: str | None = None) -> E
     for key, value in raw.items():
         if key.startswith("tol_"):
             tolerances[key[4:]] = float(value)
-        elif key == "model":
-            kwargs["model"] = value
-        elif key == "weights":
-            kwargs["weights"] = parse_weight_rows(value)
-        elif key == "point":
-            kwargs["point"] = parse_complex_vector(value)
-        elif key == "irrep":
-            kwargs["irrep"] = tuple(int(tok) for tok in value.split())
-        elif key == "w":
-            kwargs["w"] = parse_complex_vector(value)
-        elif key == "v":
-            kwargs["v"] = parse_complex_vector(value)
-        elif key == "k_schedule":
-            kwargs["k_schedule"] = tuple(int(tok) for tok in value.split())
-        elif key == "seed":
-            kwargs["seed"] = int(value)
-        elif key == "trials":
-            kwargs["trials"] = int(value)
-        elif key == "g0":
-            kwargs["g0"] = tuple(float(tok) for tok in value.split())
-        elif key == "h0":
-            kwargs["h0"] = complex(value)
-        elif key == "output":
-            kwargs["output_path"] = value
+        elif key in _CONFIG_KEYS:
+            keyword, parse = _CONFIG_KEYS[key]
+            kwargs[keyword] = parse(value)
         else:
             raise ValueError(f"unknown config key {key!r}")
     if tolerances:
@@ -857,83 +853,57 @@ def _random_displacement(rng, n: int):
     return rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
 
 
-def _orbit_quadrature_g1(frame, sw, sv) -> complex:
-    e0 = frame.on_vertical[0]
+def _orbit_quadrature(frame, sw, sv, nodes, weights) -> complex:
+    """Tensor Gauss-Hermite rule for the integral of gaussian_orbit_integral.
+
+    s = d + sqrt(2) x along the orthonormal vertical frame turns
+    exp(-|s - d|^2 / 2) into the Hermite weight at a Jacobian of 2^{g/2},
+    leaving the phase exp(-i omega(s, c)) on the rank-g grid of nodes.
+    """
     c = sv.t_part + sw.t_part
     d = sw.v_part - sv.v_part
-
-    def f(s: float) -> complex:
-        vec = s * e0
-        return cmath.exp(-1j * hermitian_data(vec, c).omega - 0.5 * norm_sq(vec - d))
-
-    lim = 14.0
-    re, _ = integrate.quad(lambda s: f(s).real, -lim, lim, epsabs=1e-13, epsrel=1e-13, limit=400)
-    im, _ = integrate.quad(lambda s: f(s).imag, -lim, lim, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return complex(re, im)
-
-
-def _orbit_quadrature_g2(frame, sw, sv) -> complex:
-    e0, e1 = frame.on_vertical
-    c = sv.t_part + sw.t_part
-    d = sw.v_part - sv.v_part
-    om0 = hermitian_data(e0, c).omega
-    om1 = hermitian_data(e1, c).omega
-    d0 = float(np.real(np.vdot(e0, d)))
-    d1 = float(np.real(np.vdot(e1, d)))
-    nodes, wts = np.polynomial.hermite.hermgauss(80)
-    s0 = d0 + math.sqrt(2.0) * nodes
-    s1 = d1 + math.sqrt(2.0) * nodes
-    phase = np.exp(-1j * (np.outer(s0 * om0, np.ones_like(s1)) + np.outer(np.ones_like(s0), s1 * om1)))
-    total = np.einsum("i,j,ij->", wts, wts, phase)
-    return 2.0 * complex(total)
+    om = np.array([hermitian_data(e, c).omega for e in frame.on_vertical])
+    dv = np.array([float(np.real(np.vdot(e, d))) for e in frame.on_vertical])
+    g = frame.rank
+    x = np.array(list(itertools.product(nodes, repeat=g)))
+    wx = np.prod(list(itertools.product(weights, repeat=g)), axis=1)
+    phase = (dv + math.sqrt(2.0) * x) @ om
+    return 2.0 ** (0.5 * g) * complex(np.sum(wx * np.exp(-1j * phase)))
 
 
 def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
     """Closed-form orbit integral against independent quadrature.
 
-    Trials split roughly 5:1 between rank-one frames (adaptive 1-D
-    quadrature oracle) and rank-two frames (tensor Gauss-Hermite
-    oracle), on randomized frames and displacements.
+    Trials split roughly 5:1 between rank-one and rank-two frames, on
+    randomized frames and displacements; both ranks use one 80-point
+    tensor Gauss-Hermite oracle.
     """
     tols = config.tolerances
     rng = np.random.default_rng(config.seed)
     trials = max(int(config.trials), 2)
-    t2 = max(trials // 6, 1)
-    t1 = trials - t2
+    counts = {1: trials - max(trials // 6, 1), 2: max(trials // 6, 1)}
+    nodes, weights = np.polynomial.hermite.hermgauss(80)
     rows: list[ConvergenceRow] = []
     worst = {1: 0.0, 2: 0.0}
-    index = 0
-    for g, count in ((1, t1), (2, t2)):
+    for g, count in counts.items():
         for _ in range(count):
-            index += 1
             frame, n = _random_frame(rng, g)
             sw = split(frame, _random_displacement(rng, n))
             sv = split(frame, _random_displacement(rng, n))
             closed = gaussian_orbit_integral(frame, sw, sv, g)
-            oracle = (
-                _orbit_quadrature_g1(frame, sw, sv)
-                if g == 1
-                else _orbit_quadrature_g2(frame, sw, sv)
-            )
-            rel = abs(closed - oracle) / abs(closed)
-            worst[g] = max(worst[g], rel)
-            rows.append(
-                make_row(index, LogComplex.from_complex(oracle), LogComplex.from_complex(closed))
-            )
-    fits = {"max_rel_g1": worst[1], "max_rel_g2": worst[2]}
+            oracle = _orbit_quadrature(frame, sw, sv, nodes, weights)
+            worst[g] = max(worst[g], abs(closed - oracle) / abs(closed))
+            exact, pred = LogComplex.from_complex(oracle), LogComplex.from_complex(closed)
+            rows.append(make_row(len(rows) + 1, exact, pred))
+    fits = {f"max_rel_g{g}": worst[g] for g in counts}
     checks = [
         Check(
-            "closed_form_g1",
-            worst[1] < tols["rel"],
-            f"max relative residual {worst[1]:.3e} over {t1} rank-one trials "
+            f"closed_form_g{g}",
+            worst[g] < tols["rel"],
+            f"max relative residual {worst[g]:.3e} over {counts[g]} rank-{rank} trials "
             f"(tolerance {tols['rel']:.3g})",
-        ),
-        Check(
-            "closed_form_g2",
-            worst[2] < tols["rel"],
-            f"max relative residual {worst[2]:.3e} over {t2} rank-two trials "
-            f"(tolerance {tols['rel']:.3g})",
-        ),
+        )
+        for g, rank in ((1, "one"), (2, "two"))
     ]
     return ExperimentReport("gaussian", rows, fits, checks, seed=config.seed)
 

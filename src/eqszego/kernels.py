@@ -41,6 +41,7 @@ _LOG_PI = math.log(math.pi)
 _MAX_ROWS = 1 << 20
 _NODE_CAP_TOTAL = 2**20
 _UNIT_TOL = 1e-9
+_MAX_CANCEL_NATS = math.log(1e6)  # a series cancelled past this keeps no digits
 
 
 class QuadratureError(RuntimeError):
@@ -211,6 +212,23 @@ def _series_terms(J: np.ndarray, log_pref: float, log_c: np.ndarray, arg_c: np.n
     return log_mods, sum(j * ac for j, ac in zip(cols, arg_c))
 
 
+def _series_sum(log_mods: np.ndarray, phases: np.ndarray) -> LogComplex:
+    """log_sum_exp of a series; raises if it cancels by more than 1e6.
+
+    Past that loss, log sum|t_i| - log|sum t_i|, float64 rounding of the
+    largest term swamps the sum.  No live terms is an exact zero and passes.
+    """
+    total = log_sum_exp(log_mods, phases)
+    moduli = log_sum_exp(log_mods, np.zeros_like(log_mods))
+    lost = moduli.log_mod - total.log_mod
+    if not moduli.is_zero and lost > _MAX_CANCEL_NATS:
+        raise ValueError(
+            f"weight-sum series cancels by a factor of e^{lost:.1f} (limit 1e6); "
+            "use the quadrature kernel"
+        )
+    return total
+
+
 def _truncation_degree(S: float, level: float) -> int:
     """First degree m > S with sum_{j > m} S^j/j! below e^level.
 
@@ -242,7 +260,9 @@ def equivariant_kernel_weightsum(
     affine series stops at the first degree M > S = k sum|a_l b_l| whose
     unconstrained envelope tail sum_{m > M} S^m/m! lies below e^{-tail_nats}
     of the largest term kept (or of e^S, when no index matches); a zero
-    slack coordinate turns |J| <= M into one block |(J, s)| = M.
+    slack coordinate turns |J| <= M into one block |(J, s)| = M.  Raises
+    ValueError when the series cancels by more than a factor 1e6 (the
+    quadrature kernel still applies there).
     """
     if irrep.g != W.g:
         raise ValueError("irrep label rank does not match weight matrix")
@@ -256,7 +276,7 @@ def equivariant_kernel_weightsum(
         J = _lattice_points(k, C, irrep.weights)
         log_pref = lgamma(k + n) - (n - 1) * _LOG_PI
         log_c = _log_abs(x) + _log_abs(y)
-        return log_sum_exp(*_series_terms(J, log_pref, log_c, np.angle(x) - np.angle(y)))
+        return _series_sum(*_series_terms(J, log_pref, log_c, np.angle(x) - np.angle(y)))
     if model != "affine":
         raise ValueError(f"unknown model {model!r}")
 
@@ -283,7 +303,7 @@ def equivariant_kernel_weightsum(
 
     pref_expo = k * (1j * (ta - tb) - 0.5 * (norm_sq(a) + norm_sq(b)))
     pref = LogComplex(n * (math.log(k) - _LOG_PI) + pref_expo.real, pref_expo.imag)
-    return pref * log_sum_exp(log_mods, phases)
+    return pref * _series_sum(log_mods, phases)
 
 
 def _theta_grid(g: int, n_per_dim: int):
@@ -342,7 +362,6 @@ def equivariant_kernel_quadrature(
     x,
     y,
     model: str,
-    start_nodes: int | None = None,
 ) -> LogComplex:
     """Isotypic kernel by trapezoid quadrature of the character average.
 
@@ -385,8 +404,6 @@ def equivariant_kernel_quadrature(
     n_per_dim = 8
     while n_per_dim <= bandwidth and n_per_dim < cap_per_dim:
         n_per_dim *= 2
-    if start_nodes is not None:
-        n_per_dim = max(n_per_dim, int(start_nodes))
 
     prev, scale_prev = _quadrature_pass(W, irrep, k, cvals, pref, model, n_per_dim)
     while True:

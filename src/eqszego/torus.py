@@ -31,7 +31,7 @@ from .geometry import as_cvec, norm_sq
 _TWO_PI = 2.0 * math.pi
 _SUPPORT_TOL = 1e-12
 _FIBER_TOL = 1e-10
-_ZERO_LEVEL_TOL = 1e-10
+ZERO_LEVEL_TOL = 1e-10  # max |Phi| accepted as the zero level, by every module
 
 
 class WeightMatrix:
@@ -374,7 +374,7 @@ def effective_volume(W: WeightMatrix, z, model: str) -> float:
     """
     z = as_cvec(z)
     phi = moment_map(W, z, model)
-    if float(np.max(np.abs(phi))) > _ZERO_LEVEL_TOL:
+    if float(np.max(np.abs(phi))) > ZERO_LEVEL_TOL:
         raise ValueError(f"point is not on the zero level: Phi = {phi}")
     gens = generators_at(W, z, model)
     g = W.g

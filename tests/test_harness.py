@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,13 @@ def test_make_config_rejects_non_unit_h0():
     with pytest.raises(ValueError, match="unit"):
         make_config("translated", h0=0.5 + 0.0j)
     assert make_config("translated", h0=1j).h0 == 1j
+
+
+def test_make_config_zero_level_matches_effective_volume():
+    """A point the config accepts must pass effective_volume's zero-level check."""
+    off = (math.sqrt(0.5 + 2e-9), math.sqrt(0.5 - 2e-9))
+    with pytest.raises(ValueError, match="zero-level"):
+        make_config("diagonal", point=off)
 
 
 def test_make_config_rejects_unknown_experiment():
@@ -313,13 +324,55 @@ def test_cli_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_flags_override_config_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = translated\nk_schedule = 10 20\nseed = 3\n")
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        return ExperimentReport("translated", [], {}, [])
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    argv = [
+        "translated", "--config", str(cfg), "--k", "26 50 100 200", "--irrep", "2",
+        "--weights", "-1 1", "--point", "0.6+0.8j 1j", "--seed", "7",
+        "--out", str(tmp_path / "run.csv"), "--g0", "3.141592653589793", "--h0", "1j",
+    ]
+    assert cli.main(argv) == 0
+    (config,) = seen
+    assert config.k_schedule == (26, 50, 100, 200)
+    assert config.irrep.weights == (2,)
+    assert config.weights.matrix.tolist() == [[-1, 1]]
+    assert config.point == (0.6 + 0.8j, 1j)
+    assert config.seed == 7
+    assert config.output_path == str(tmp_path / "run.csv")
+    assert config.g0 == (math.pi,)
+    assert config.h0 == 1j
+    with pytest.raises(SystemExit):
+        cli.main(["diagonal", "--seed", "x"])
+    capsys.readouterr()
+
+
 def test_cli_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = diagonal\nbogus = 1\n")
     assert cli.main(["diagonal", "--config", str(cfg)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: unknown config key 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_bad_value_exit_two(capsys):
     assert cli.main(["diagonal", "--k", "50 26"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- packaging ----------------------------------------------------------------
+
+
+def test_import_needs_no_scipy():
+    """The library runs on numpy alone; scipy is a test-only dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, eqszego; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

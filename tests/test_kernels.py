@@ -295,6 +295,20 @@ def test_affine_weightsum_zero_coordinate_rank_two():
     assert equivariant_kernel_weightsum(W, IrrepLabel((-1, 0)), k, (a, 0.0), (b, 0.0), "affine").is_zero
 
 
+def test_affine_weightsum_refuses_cancelled_series():
+    """Terms up to e^93 summing to ~e^-3 would leave rounding only: it must raise."""
+    a = (0.9 * BALANCED.astype(complex), 0.3)
+    b = (1.1j * BALANCED, 0.0)
+    pi = IrrepLabel((2,))
+    quad = equivariant_kernel_quadrature(P1, pi, 100, a, b, "affine")
+    assert quad.log_mod == pytest.approx(-97.01, abs=0.01)
+    with pytest.raises(ValueError, match="cancels by a factor.*quadrature"):
+        equivariant_kernel_weightsum(P1, pi, 100, a, b, "affine")
+    # the same points at k = 10 cancel mildly and still agree with the quadrature
+    ws = equivariant_kernel_weightsum(P1, pi, 10, a, b, "affine")
+    assert _rel(ws, equivariant_kernel_quadrature(P1, pi, 10, a, b, "affine")) < 1e-10
+
+
 def test_weightsum_diagonal_positivity():
     rng = np.random.default_rng(23)
     for _ in range(10):
