@@ -15,16 +15,18 @@ group average of the full kernel.  It is computed two independent ways:
     one log-sum-exp.  Projective: c = x conj(y), |J| = k, times
     (k+d)!/pi^d, exact.  Affine: c = k a conj(b), every degree up to a
     truncation whose tail is provably below e^-40 of the largest term;
-  * quadrature: tensor-product trapezoid rule over the torus, with node
-    doubling until successive values agree to 1e-12 relative (the
-    trapezoid rule is exact for the projective integrand, a trig
-    polynomial, and spectrally accurate for the affine one).
+  * quadrature: tensor-product trapezoid rule over the torus at a node
+    count certified by a Cauchy bound on its aliasing, then one
+    confirmation pass at twice the count that must agree to 1e-12
+    relative.  The quadrature enumerates no lattice points.
 
 Values are LogComplex throughout; k up to ~10^4 stays exact.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from math import lgamma
 from typing import Sequence
@@ -40,16 +42,29 @@ _LOG_PI = math.log(math.pi)
 # 459,684 rows of affine n = 3, rank one, k = 1024), so ~130 MiB at most.
 _MAX_ROWS = 1 << 20
 _NODE_CAP_TOTAL = 2**20
+# Candidate per-dimension node counts N, and the fixed grid of Cauchy radii
+# log r = t that the aliasing bound minimises over (any t > 0 gives a valid
+# bound).  _LOG_GEOM[t, N] = log(e^{-tN} / (1 - e^{-tN})).
+_N_CANDIDATES = 2 ** np.arange(3, 21)
+_T_GRID = np.geomspace(1e-4, 30.0, 40)[:, None]
+_LOG_GEOM = -_T_GRID * _N_CANDIDATES - np.log(-np.expm1(-_T_GRID * _N_CANDIDATES))
 _UNIT_TOL = 1e-9
 _MAX_CANCEL_NATS = math.log(1e6)  # a series cancelled past this keeps no digits
 
 
 class QuadratureError(RuntimeError):
-    """Node doubling hit the cap; carries the last two iterates."""
+    """The quadrature could not certify a value.
 
-    def __init__(self, message: str, last_two):
+    last_two holds the first pass and its confirmation, and n_per_dim
+    their per-dimension node counts.  When the certified count needs more
+    than _NODE_CAP_TOTAL nodes no pass runs: last_two is (None, None) and
+    n_per_dim holds the count required (None past the largest candidate).
+    """
+
+    def __init__(self, message: str, last_two=(None, None), n_per_dim=(None, None)):
         super().__init__(message)
         self.last_two = last_two
+        self.n_per_dim = n_per_dim
 
 
 # -- points -------------------------------------------------------------------
@@ -314,6 +329,69 @@ def _theta_grid(g: int, n_per_dim: int):
     return [m.ravel() for m in mesh]
 
 
+def _integrand(W: WeightMatrix, k: int, x, y, model: str):
+    """Coefficients c_l and prefactor of the integrand pref * f(theta).
+
+    f = (sum_l c_l e^{-i w_l.theta})^k (projective) or
+    exp(k sum_l c_l e^{-i w_l.theta}) (affine).
+    """
+    if model == "projective":
+        x, y = _unit_point(x), _unit_point(y)
+        d = W.n_coords - 1
+        pref = LogComplex(lgamma(k + d + 1) - lgamma(k + 1) - d * _LOG_PI, 0.0)
+    elif model == "affine":
+        (x, tx), (y, ty) = affine_point(x), affine_point(y)
+        expo = k * (1j * (tx - ty) - 0.5 * (norm_sq(x) + norm_sq(y)))
+        pref = LogComplex(W.n_coords * (math.log(k) - _LOG_PI) + expo.real, expo.imag)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    if len(x) != W.n_coords or len(y) != W.n_coords:
+        raise ValueError("point dimension does not match the weight matrix")
+    return (x * np.conj(y)).astype(np.complex128), pref
+
+
+@functools.lru_cache(maxsize=8)
+def _sign_patterns(g: int):
+    """The 3^g - 1 nonzero sign patterns sigma, and |sigma| * _LOG_GEOM as (t, sigma, N)."""
+    signs = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=g) if any(s)])
+    geom = np.count_nonzero(signs, axis=1)[:, None] * _LOG_GEOM[:, None, :]
+    signs.flags.writeable = geom.flags.writeable = False
+    return signs, geom
+
+
+def _log_alias_bound(W: WeightMatrix, irrep: IrrepLabel, k: int, cvals, model: str):
+    """Log Cauchy scale and log aliasing bound for every count in _N_CANDIDATES.
+
+    The N-point trapezoid mean of f e^{-i irrep.theta}, f = sum_m a_m e^{i m.theta},
+    is the sum of a_m over m = irrep + jN.  On the polyradius e^r Cauchy's
+    inequality gives |a_m| <= exp(k F(r) - r.m), with v_l = -w_l and
+    F(r) = log sum_l |c_l| e^{r.v_l} (projective) or sum_l |c_l| e^{r.v_l}
+    (affine).  With r = t sigma, the aliases j != 0 of sign pattern sigma
+    in {-1, 0, 1}^g sum to at most
+        exp(k F(t sigma) - t sigma.irrep) (e^{-tN} / (1 - e^{-tN}))^{|sigma|}
+    for every t > 0.  Each pattern takes its least value over _T_GRID, and
+    the 3^g - 1 patterns together at most that many times the largest.
+    Returns (k F(0), log B) without the integrand's prefactor.
+    """
+    live = cvals != 0.0
+    if model == "projective" and not live.any():
+        return NEG_INF, np.full(len(_N_CANDIDATES), NEG_INF)
+    abs_c = np.abs(cvals[live])
+    signs, geom = _sign_patterns(W.g)
+    slopes = -W.matrix[:, live].T @ signs.T  # (l, sigma): sigma.v_l
+    top = slopes.max(axis=0) if model == "projective" else 0.0
+    with np.errstate(over="ignore"):
+        terms = np.exp((slopes - top)[:, None, :] * _T_GRID)  # (l, t, sigma)
+    sums = (abs_c[:, None, None] * terms).sum(axis=0)  # (t, sigma)
+    if model == "projective":
+        kF, kF0 = k * (np.log(sums) + _T_GRID * top), k * math.log(abs_c.sum())
+    else:
+        kF, kF0 = k * sums, k * float(abs_c.sum())
+    per_sign = (kF - _T_GRID * (signs @ irrep.weights))[:, :, None] + geom  # (t, sigma, N)
+    # non-increasing in N, so the count chosen only grows and the search ends
+    return kF0, np.minimum.accumulate(per_sign.min(axis=0).max(axis=0)) + math.log(len(signs))
+
+
 def _quadrature_pass(W, irrep, k, cvals, pref: LogComplex, model: str, n_per_dim: int):
     """One trapezoid evaluation; returns (value, max node log-modulus)."""
     g = W.g
@@ -366,60 +444,59 @@ def equivariant_kernel_quadrature(
     """Isotypic kernel by trapezoid quadrature of the character average.
 
     Integrates chi_irrep(t)^{-1} * Pi_k(t^{-1}.x, y) over the torus with
-    a tensor-product trapezoid rule, doubling the per-dimension node
-    count until two successive values agree to 1e-12 relative (or both
-    sit at the round-off floor of the integrand scale, which is the
-    selection-rule zero).  The rule is exact once the node count passes
-    the trig degree k*max|w| + |irrep| in the projective model, which
-    guides the starting count.  Raises QuadratureError with the last two
-    iterates if the 2^20 total node cap is hit without convergence.
+    a tensor-product trapezoid rule.  The per-dimension node count N is
+    the smallest power of two whose Cauchy bound on the aliased Fourier
+    coefficients (_log_alias_bound) lies below 3e-13 of the Cauchy scale;
+    after the pass it must also lie below 1e-13 of the value or 3e-13 of
+    the largest node, or N moves straight to the smallest count that
+    does.  One confirmation pass at 2N must then agree to 1e-12 relative
+    (or both sit at the round-off floor of the node scale, which is the
+    selection-rule zero); its value is returned.  Raises QuadratureError
+    at once, before any pass, when (2N)^g passes the 2^20 total node cap,
+    and after the passes when the confirmation disagrees.
     """
     if irrep.g != W.g:
         raise ValueError("irrep label rank does not match weight matrix")
     g = W.g
-    max_w = int(np.max(np.abs(W.matrix))) if W.matrix.size else 0
-    max_irrep = max(abs(w) for w in irrep.weights)
+    cvals, pref = _integrand(W, k, x, y, model)
+    log_scale, log_bound = _log_alias_bound(W, irrep, k, cvals, model)
 
-    if model == "projective":
-        d = W.n_coords - 1
-        xu = _unit_point(x)
-        yu = _unit_point(y)
-        cvals = (xu * np.conj(yu)).astype(np.complex128)
-        pref = LogComplex(lgamma(k + d + 1) - lgamma(k + 1) - d * _LOG_PI, 0.0)
-        bandwidth = k * max_w + max_irrep
-    elif model == "affine":
-        a, ta = affine_point(x)
-        b, tb = affine_point(y)
-        if len(a) != W.n_coords or len(b) != W.n_coords:
-            raise ValueError("point dimension does not match the weight matrix")
-        cvals = (a * np.conj(b)).astype(np.complex128)
-        expo = k * (1j * (ta - tb) - 0.5 * (norm_sq(a) + norm_sq(b)))
-        pref = LogComplex(W.n_coords * (math.log(k) - _LOG_PI) + expo.real, expo.imag)
-        # exp(k sum c_l e^{-i w_l theta}) has Fourier mass out to ~ k*sum|c_l|*max|w|
-        bandwidth = int(1.2 * k * float(np.abs(cvals).sum()) * max_w) + max_irrep + 64
-    else:
-        raise ValueError(f"unknown model {model!r}")
-
-    cap_per_dim = 2 ** (20 // g)
-    n_per_dim = 8
-    while n_per_dim <= bandwidth and n_per_dim < cap_per_dim:
-        n_per_dim *= 2
-
-    prev, scale_prev = _quadrature_pass(W, irrep, k, cvals, pref, model, n_per_dim)
-    while True:
-        n_next = n_per_dim * 2
-        if n_next**g > _NODE_CAP_TOTAL:
+    def certified(target: float) -> int:
+        """Index of the smallest candidate count whose bound meets target."""
+        hits = np.flatnonzero(log_bound <= target)
+        if not hits.size:
             raise QuadratureError(
-                f"quadrature did not converge within {_NODE_CAP_TOTAL} nodes",
-                (prev, None),
+                f"quadrature needs more than {_N_CANDIDATES[-1]}^{g} nodes; "
+                f"the cap is {_NODE_CAP_TOTAL} nodes"
             )
-        cur, scale = _quadrature_pass(W, irrep, k, cvals, pref, model, n_next)
-        diff = log_diff_mod(cur, prev)
-        floor = max(scale, scale_prev) + math.log(3e-13)
-        if diff <= cur.log_mod + math.log(1e-12) or diff <= floor or diff == NEG_INF:
-            return cur
-        prev, scale_prev = cur, scale
-        n_per_dim = n_next
+        n = int(_N_CANDIDATES[hits[0]])
+        if (2 * n) ** g > _NODE_CAP_TOTAL:
+            raise QuadratureError(
+                f"quadrature needs {n}^{g} nodes and a {2 * n}^{g}-node confirmation; "
+                f"the cap is {_NODE_CAP_TOTAL} nodes",
+                n_per_dim=(n, 2 * n),
+            )
+        return int(hits[0])
+
+    i = certified(log_scale + math.log(3e-13))
+    while True:
+        n = int(_N_CANDIDATES[i])
+        first, scale_first = _quadrature_pass(W, irrep, k, cvals, pref, model, n)
+        target = max(first.log_mod + math.log(1e-13), scale_first + math.log(3e-13))
+        if log_bound[i] <= target - pref.log_mod:
+            break
+        i = certified(target - pref.log_mod)
+
+    cur, scale = _quadrature_pass(W, irrep, k, cvals, pref, model, 2 * n)
+    diff = log_diff_mod(cur, first)
+    floor = max(scale, scale_first) + math.log(3e-13)
+    if diff <= cur.log_mod + math.log(1e-12) or diff <= floor or diff == NEG_INF:
+        return cur
+    raise QuadratureError(
+        f"quadrature confirmation at {2 * n}^{g} nodes disagrees with {n}^{g} nodes",
+        (first, cur),
+        (n, 2 * n),
+    )
 
 
 def isotypic_sum(W: WeightMatrix, k: int, x, y) -> LogComplex:

@@ -6,11 +6,13 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from eqszego import kernels
 from eqszego.kernels import (
+    QuadratureError,
     bargmann_kernel,
     enumerate_indices,
     equivariant_kernel_quadrature,
@@ -419,6 +421,138 @@ def test_quadrature_rank_two_affine():
     ws = equivariant_kernel_weightsum(W, pi, k, (a, 0.0), (a, 0.0), "affine")
     quad = equivariant_kernel_quadrature(W, pi, k, (a, 0.0), (a, 0.0), "affine")
     assert _rel(ws, quad) < 1e-10
+
+
+W_AFF_R2 = WeightMatrix(((1, -1, 0), (0, 1, -1)))
+W_P2_R2 = WeightMatrix(((-1, 1, 0), (0, -1, 1)))
+UNIT3 = np.full(3, 1.0 / math.sqrt(3.0), dtype=complex)
+UNIT3_TILTED = UNIT3 * np.exp(1j * np.array([0.3, -0.2, 0.1]))
+
+
+@pytest.mark.parametrize(
+    "W, model, y, k",
+    [
+        pytest.param(W_AFF_R2, "affine", UNIT3, 1024, id="affine-k1024"),
+        pytest.param(W_AFF_R2, "affine", UNIT3, 4096, id="affine-k4096"),
+        pytest.param(W_P2_R2, "projective", UNIT3_TILTED, 600, id="p2-k600"),
+        pytest.param(W_P2_R2, "projective", UNIT3_TILTED, 2400, id="p2-k2400"),
+    ],
+)
+def test_quadrature_rank_two_large_k(W, model, y, k):
+    """Rank two at large k: no false QuadratureError, and the weight sum agrees."""
+    pi = IrrepLabel((0, 0))
+    ws = equivariant_kernel_weightsum(W, pi, k, UNIT3, y, model)
+    quad = equivariant_kernel_quadrature(W, pi, k, UNIT3, y, model)
+    assert _rel(ws, quad) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the weight sum loses 9.1 nats to cancellation, under its 1e6 guard, and is 2e-9 off",
+)
+def test_affine_weightsum_rank_two_tilted_k4096():
+    pi = IrrepLabel((0, 0))
+    ws = equivariant_kernel_weightsum(W_AFF_R2, pi, 4096, UNIT3, UNIT3_TILTED, "affine")
+    quad = equivariant_kernel_quadrature(W_AFF_R2, pi, 4096, UNIT3, UNIT3_TILTED, "affine")
+    assert _rel(ws, quad) < 1e-10
+
+
+def test_quadrature_fails_fast_past_node_cap(monkeypatch):
+    """A certified count past the cap raises at once, naming it; no pass runs."""
+
+    def no_pass(*args):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(kernels, "_quadrature_pass", no_pass)
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match=r"needs 8192\^2 nodes .* cap is 1048576") as info:
+        equivariant_kernel_quadrature(W_AFF_R2, IrrepLabel((0, 0)), 10**6, UNIT3, UNIT3, "affine")
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.last_two == (None, None)
+    assert info.value.n_per_dim == (8192, 16384)
+
+
+def test_quadrature_error_carries_both_passes(monkeypatch):
+    """A confirmation that disagrees raises with both passes and their node counts."""
+    real_pass = kernels._quadrature_pass
+    seen = []
+
+    def drifting_pass(W, irrep, k, cvals, pref, model, n_per_dim):
+        value, scale = real_pass(W, irrep, k, cvals, pref, model, n_per_dim)
+        seen.append(n_per_dim)
+        return value * LogComplex(1e-6 * n_per_dim, 0.0), scale
+
+    monkeypatch.setattr(kernels, "_quadrature_pass", drifting_pass)
+    x = np.array([math.sqrt(0.6), math.sqrt(0.4)])
+    with pytest.raises(QuadratureError, match="disagrees") as info:
+        equivariant_kernel_quadrature(P1, IrrepLabel((2,)), 30, x, x, "projective")
+    first, confirmation = info.value.last_two
+    n = seen[0]
+    assert seen == [n, 2 * n] and info.value.n_per_dim == (n, 2 * n)
+    assert isinstance(first, LogComplex) and isinstance(confirmation, LogComplex)
+    ws = equivariant_kernel_weightsum(P1, IrrepLabel((2,)), 30, x, x, "projective")
+    assert first.log_mod - ws.log_mod == pytest.approx(1e-6 * n, abs=1e-12)
+    assert confirmation.log_mod - ws.log_mod == pytest.approx(2e-6 * n, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_alias_bound_dominates_observed_aliasing(data):
+    """|I_N - I| <= |pref| B(N) plus round-off, at every N <= 256.
+
+    The N-point rule's error is the aliasing the bound dominates.  The
+    round-off floor is 3e-13 of the larger of the largest node and the
+    Cauchy scale, which bounds every weight-sum term as well.
+    """
+    g = data.draw(st.integers(1, 2), label="rank")
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    W = WeightMatrix(data.draw(st.lists(row, min_size=g, max_size=g), label="weights"))
+    k = data.draw(st.integers(1, 40), label="k")
+    model = data.draw(st.sampled_from(["projective", "affine"]), label="model")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    if model == "affine":
+        x = (x * rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        y = (y * rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+    if data.draw(st.booleans(), label="hit"):
+        J = rng.multinomial(k, np.ones(n) / n)
+    else:
+        J = rng.integers(-3, 4, n)
+    irrep = IrrepLabel(-(W.matrix @ J))
+    try:
+        ref = equivariant_kernel_weightsum(W, irrep, k, x, y, model)
+    except ValueError:  # a cancelled series gives no reference
+        reject()
+    cvals, pref = kernels._integrand(W, k, x, y, model)
+    log_scale, log_bound = kernels._log_alias_bound(W, irrep, k, cvals, model)
+    for n_per_dim, log_b in zip(kernels._N_CANDIDATES.tolist(), log_bound):
+        if n_per_dim > 256:
+            break
+        value, node_scale = kernels._quadrature_pass(W, irrep, k, cvals, pref, model, n_per_dim)
+        floor = max(node_scale, pref.log_mod + log_scale) + math.log(3e-13)
+        assert log_diff_mod(value, ref) <= np.logaddexp(pref.log_mod + log_b, floor)
+
+
+def test_quadrature_affine_at_origin():
+    """a = 0 zeroes every coefficient: the integrand is the character alone."""
+    W = WeightMatrix(((1, -1),))
+    b = np.array([0.3, 0.4])
+    ws = equivariant_kernel_weightsum(W, IrrepLabel((0,)), 5, np.zeros(2), b, "affine")
+    quad = equivariant_kernel_quadrature(W, IrrepLabel((0,)), 5, np.zeros(2), b, "affine")
+    assert _rel(ws, quad) < 1e-12
+    for pi0 in (1, 3):
+        quad = equivariant_kernel_quadrature(W, IrrepLabel((pi0,)), 5, np.zeros(2), b, "affine")
+        assert quad.log_mod < ws.log_mod + math.log(1e-12)
+
+
+def test_quadrature_rejects_point_dimension_mismatch():
+    W = WeightMatrix(((-1, 1, 0),))
+    for model in ("projective", "affine"):
+        with pytest.raises(ValueError, match="point dimension"):
+            equivariant_kernel_quadrature(W, IrrepLabel((0,)), 4, BALANCED, BALANCED, model)
 
 
 def test_quadrature_deterministic():
