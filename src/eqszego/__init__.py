@@ -7,134 +7,4 @@ their near-diagonal scaling, and a harness of convergence experiments
 that certify the prediction against the exact kernels.
 """
 
-from .asymptotics import (
-    LeadingPrediction,
-    a_factor,
-    a_factor_general,
-    gaussian_orbit_integral,
-    leading_term,
-)
-from .charts import (
-    BargmannChart,
-    FrameReport,
-    P1Chart,
-    bargmann_chart,
-    chart_point,
-    p1_chart,
-    verify_frame,
-)
-from .geometry import (
-    HermitianData,
-    SplitFrame,
-    TangentSplit,
-    build_split_frame,
-    hermitian_data,
-    model_phase,
-    norm_sq,
-    psi2,
-    q_form,
-    split,
-)
-from .harness import (
-    CSV_HEADER,
-    Check,
-    ConvergenceRow,
-    ExperimentConfig,
-    ExperimentReport,
-    config_from_mapping,
-    load_config,
-    make_config,
-    make_row,
-    read_report_csv,
-    run_experiment,
-    write_report_csv,
-)
-from .kernels import (
-    QuadratureError,
-    bargmann_kernel,
-    enumerate_indices,
-    equivariant_kernel_quadrature,
-    equivariant_kernel_weightsum,
-    isotypic_sum,
-    monomial_section,
-    projective_kernel,
-)
-from .logcomplex import LogComplex, log_diff_mod, log_sum, log_sum_exp, ratio
-from .torus import (
-    IrrepLabel,
-    Stabilizer,
-    TorusElement,
-    WeightMatrix,
-    act_affine,
-    character,
-    effective_volume,
-    fiber_multiplier,
-    generators_at,
-    moment_map,
-    smith_normal_form,
-    stabilizer_of,
-)
-
-__all__ = [
-    "BargmannChart",
-    "CSV_HEADER",
-    "Check",
-    "ConvergenceRow",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FrameReport",
-    "HermitianData",
-    "IrrepLabel",
-    "LeadingPrediction",
-    "LogComplex",
-    "P1Chart",
-    "QuadratureError",
-    "SplitFrame",
-    "Stabilizer",
-    "TangentSplit",
-    "TorusElement",
-    "WeightMatrix",
-    "a_factor",
-    "a_factor_general",
-    "act_affine",
-    "bargmann_chart",
-    "bargmann_kernel",
-    "build_split_frame",
-    "character",
-    "chart_point",
-    "config_from_mapping",
-    "effective_volume",
-    "enumerate_indices",
-    "equivariant_kernel_quadrature",
-    "equivariant_kernel_weightsum",
-    "fiber_multiplier",
-    "gaussian_orbit_integral",
-    "generators_at",
-    "hermitian_data",
-    "isotypic_sum",
-    "leading_term",
-    "load_config",
-    "log_diff_mod",
-    "log_sum",
-    "log_sum_exp",
-    "make_config",
-    "make_row",
-    "model_phase",
-    "moment_map",
-    "monomial_section",
-    "norm_sq",
-    "p1_chart",
-    "projective_kernel",
-    "psi2",
-    "q_form",
-    "ratio",
-    "read_report_csv",
-    "run_experiment",
-    "smith_normal_form",
-    "split",
-    "stabilizer_of",
-    "verify_frame",
-    "write_report_csv",
-]
-
 __version__ = "0.1.0"

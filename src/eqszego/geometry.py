@@ -16,8 +16,8 @@ into three mutually g-orthogonal pieces:
 and the horizontal piece is a complex subspace.  SplitFrame holds
 orthonormal bases for all three; split() projects a vector onto them.
 psi2 and q_form are the quadratic exponents appearing in the
-leading-order kernel asymptotics, and model_phase is the scalar phase
-function whose unique stationary point drives them.
+leading-order kernel asymptotics, and model_phase is the phase function
+whose unique stationary point drives them.
 """
 
 from __future__ import annotations
@@ -233,15 +233,19 @@ def q_form(sw: TangentSplit, sv: TangentSplit) -> complex:
     return complex(re, im)
 
 
-def model_phase(t: float, theta: float):
+def model_phase(t, theta):
     """Phase i*t*(1 - e^{i*theta}) - theta with gradient and Hessian.
 
     Stationary exactly at (t, theta) = (1, 0), where the Hessian is
     [[0, 1], [1, i]]; the imaginary part t*(1 - cos theta) is
-    nonnegative for t >= 0.
+    nonnegative for t >= 0.  t and theta broadcast to a common shape S;
+    the value has shape S, the gradient (2, *S) and the Hessian
+    (2, 2, *S), so scalars give a scalar, a 2-vector and a 2x2 matrix.
     """
-    eith = complex(math.cos(theta), math.sin(theta))
+    t, theta = np.broadcast_arrays(t, theta)
+    eith = np.empty(theta.shape, dtype=np.complex128)
+    eith.real, eith.imag = np.cos(theta), np.sin(theta)
     value = 1.0j * t * (1.0 - eith) - theta
-    grad = np.array([1.0j * (1.0 - eith), t * eith - 1.0], dtype=np.complex128)
-    hess = np.array([[0.0, eith], [eith, 1.0j * t * eith]], dtype=np.complex128)
+    grad = np.array([1.0j * (1.0 - eith), t * eith - 1.0])
+    hess = np.array([[np.zeros_like(eith), eith], [eith, 1.0j * t * eith]])
     return value, grad, hess

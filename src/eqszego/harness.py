@@ -56,7 +56,7 @@ import numpy as np
 
 from .asymptotics import a_factor_general, gaussian_orbit_integral, leading_term
 from .charts import bargmann_chart, chart_point, p1_chart
-from .geometry import build_split_frame, hermitian_data, norm_sq, split
+from .geometry import build_split_frame, hermitian_data, model_phase, norm_sq, split
 from .kernels import (
     equivariant_kernel_quadrature,
     equivariant_kernel_weightsum,
@@ -131,7 +131,7 @@ def _parity_adjusted(base, irrep: IrrepLabel, model: str, weights: WeightMatrix)
     return tuple(k + 1 if (k - pi0) % 2 != 0 else k for k in base)
 
 
-def _default_point(experiment: str, model: str, weights: WeightMatrix):
+def _default_point(experiment: str, weights: WeightMatrix):
     if experiment == "decay":
         return (complex(math.sqrt(0.9)), complex(math.sqrt(0.1)))
     n = weights.n_coords
@@ -196,7 +196,7 @@ def make_config(
     if len(irrep.weights) != weights.g:
         raise ValueError("irrep label length must match the torus rank")
     if point is None:
-        point = _default_point(experiment, model, weights)
+        point = _default_point(experiment, weights)
     else:
         point = tuple(complex(z) for z in point)
     if len(point) != weights.n_coords:
@@ -910,18 +910,13 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
 
 def run_phase(config: ExperimentConfig) -> ExperimentReport:
     """Stationary data of the model phase and grid nonnegativity."""
-    from .geometry import model_phase
-
     tols = config.tolerances
     _, grad, hess = model_phase(1.0, 0.0)
     grad_norm = float(np.linalg.norm(grad))
     target = np.array([[0.0, 1.0], [1.0, 1.0j]], dtype=np.complex128)
     hess_res = float(np.max(np.abs(hess - target)))
-    min_imag = math.inf
-    for t in np.linspace(0.05, 4.0, 80):
-        for th in np.linspace(-math.pi, math.pi, 161):
-            val, _, _ = model_phase(float(t), float(th))
-            min_imag = min(min_imag, val.imag)
+    t, theta = np.meshgrid(np.linspace(0.05, 4.0, 80), np.linspace(-math.pi, math.pi, 161), indexing="ij")
+    min_imag = float(np.min(model_phase(t, theta)[0].imag))
     fits = {"grad_norm": grad_norm, "hessian_residual": hess_res, "grid_min_imag": min_imag}
     checks = [
         Check(

@@ -29,7 +29,6 @@ import functools
 import itertools
 import math
 from math import lgamma
-from typing import Sequence
 
 import numpy as np
 
@@ -95,27 +94,6 @@ def bargmann_kernel(k: int, n: int, p, q) -> LogComplex:
         raise ValueError("point dimension does not match n")
     expo = k * (1j * (tp - tq) + psi2(zp, zq))
     return LogComplex(n * (math.log(k) - _LOG_PI) + expo.real, expo.imag)
-
-
-def monomial_section(k: int, d: int, J: Sequence[int], z) -> LogComplex:
-    """Value of the normalized monomial sqrt((k+d)!/(pi^d J!)) z^J."""
-    z = as_cvec(z)
-    J = tuple(int(j) for j in J)
-    if len(J) != d + 1 or len(z) != d + 1:
-        raise ValueError("index and point must have d+1 coordinates")
-    if any(j < 0 for j in J) or sum(J) != k:
-        raise ValueError("index must be nonnegative with total degree k")
-    log_norm = 0.5 * (lgamma(k + d + 1) - d * _LOG_PI - sum(lgamma(j + 1) for j in J))
-    log_mod = log_norm
-    phase = 0.0
-    for j, zl in zip(J, z):
-        if j == 0:
-            continue
-        if zl == 0:
-            return LogComplex.zero()
-        log_mod += j * math.log(abs(zl))
-        phase += j * math.atan2(zl.imag, zl.real)
-    return LogComplex(log_mod, phase)
 
 
 def projective_kernel(k: int, d: int, x, y) -> LogComplex:

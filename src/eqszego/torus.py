@@ -146,6 +146,8 @@ def generators_at(W: WeightMatrix, z, model: str) -> list:
     Affine: (i W[i,l] z_l)_l.  Projective: the same vector projected
     orthogonally to C*z after normalizing z to the unit sphere.
     """
+    if model not in ("affine", "projective"):
+        raise ValueError(f"unknown model {model!r}")
     z = as_cvec(z)
     _check_shapes(W, z)
     if model == "projective":
@@ -159,9 +161,7 @@ def generators_at(W: WeightMatrix, z, model: str) -> list:
         if model == "projective":
             v = v - complex(np.vdot(z, v)) * z
         gens.append(v)
-    if model == "affine" or model == "projective":
-        return gens
-    raise ValueError(f"unknown model {model!r}")
+    return gens
 
 
 # -- integer Smith normal form ----------------------------------------------

@@ -289,3 +289,40 @@ def test_model_phase_derivatives_match_finite_differences():
         assert d_tt == pytest.approx(hess[0, 0], rel=1e-4, abs=1e-5)
         assert d_hh == pytest.approx(hess[1, 1], rel=1e-4, abs=1e-5)
         assert d_th2 == pytest.approx(hess[0, 1], rel=1e-4, abs=1e-5)
+
+
+def _phase_by_hand(t: float, theta: float):
+    """The model phase in Python complex arithmetic, as a bitwise reference."""
+    eith = complex(math.cos(theta), math.sin(theta))
+    value = 1.0j * t * (1.0 - eith) - theta
+    grad = [1.0j * (1.0 - eith), t * eith - 1.0]
+    hess = [[0.0, eith], [eith, 1.0j * t * eith]]
+    return value, grad, hess
+
+
+def _bits(x) -> np.ndarray:
+    """The raw words of a complex array, in C order, so signed zeros count."""
+    return np.ascontiguousarray(x, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+def test_model_phase_grid_call_matches_scalar_calls_bitwise():
+    """One array call over the phase experiment's 80 x 161 grid gives the
+    bits of 12,880 scalar calls, and those of the by-hand reference."""
+    ts, ths = np.linspace(0.05, 4.0, 80), np.linspace(-math.pi, math.pi, 161)
+    t, th = np.meshgrid(ts, ths, indexing="ij")
+    value, grad, hess = model_phase(t, th)
+    one = model_phase(0.7, -2.1)
+    assert np.ndim(one[0]) == 0 and one[1].shape == (2,) and one[2].shape == (2, 2)
+    assert value.shape == (80, 161) and grad.shape == (2, 80, 161) and hess.shape == (2, 2, 80, 161)
+    for phase in (model_phase, _phase_by_hand):
+        calls = [phase(float(a), float(b)) for a, b in zip(t.ravel(), th.ravel())]
+        values = np.array([c[0] for c in calls]).reshape(80, 161)
+        grads = np.moveaxis(np.array([c[1] for c in calls]).reshape(80, 161, 2), -1, 0)
+        hessians = np.moveaxis(np.array([c[2] for c in calls]).reshape(80, 161, 2, 2), (-2, -1), (0, 1))
+        np.testing.assert_array_equal(_bits(values), _bits(value))
+        np.testing.assert_array_equal(_bits(grads), _bits(grad))
+        np.testing.assert_array_equal(_bits(hessians), _bits(hess))
+    outer = model_phase(ts[:, None], ths[None, :])
+    for got, want in zip(outer, (value, grad, hess)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+

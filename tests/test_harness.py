@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -369,10 +370,35 @@ def test_cli_bad_value_exit_two(capsys):
 # -- packaging ----------------------------------------------------------------
 
 
-def test_import_needs_no_scipy():
-    """The library runs on numpy alone; scipy is a test-only dependency."""
+MODULES = ("asymptotics", "charts", "cli", "geometry", "harness", "kernels", "logcomplex", "torus")
+
+
+def _run_python(code: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, eqszego; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_needs_no_scipy():
+    """The library runs on numpy alone; scipy is a test-only dependency.
+
+    eqszego.cli imports every other module, so this loads the whole library.
+    """
+    code = (
+        "import sys, eqszego.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('eqszego.'))); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    loaded, scipy_modules = _run_python(code).splitlines()
+    assert loaded == repr(sorted(f"eqszego.{m}" for m in MODULES))
+    assert scipy_modules == "[]"
+
+
+def test_package_root_holds_only_the_version():
+    """Names are imported from their modules; the root binds __version__ alone."""
+    code = "import eqszego; print([n for n in vars(eqszego) if not n.startswith('_')]); print(eqszego.__version__)"
+    public, version = _run_python(code).splitlines()
+    assert public == "[]"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert version == re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1)

@@ -2,7 +2,7 @@ import cmath
 import itertools
 import math
 import time
-from math import factorial
+from math import factorial, lgamma
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from eqszego.kernels import (
     equivariant_kernel_quadrature,
     equivariant_kernel_weightsum,
     isotypic_sum,
-    monomial_section,
     projective_kernel,
 )
 from eqszego.logcomplex import LogComplex, log_diff_mod, ratio
@@ -32,6 +31,26 @@ def _rel(a, b) -> float:
     if a.is_zero and b.is_zero:
         return 0.0
     return math.exp(log_diff_mod(a, b) - max(a.log_mod, b.log_mod))
+
+
+def _monomial_section(k: int, d: int, J, z) -> LogComplex:
+    """Direct-basis oracle: the normalized monomial sqrt((k+d)!/(pi^d J!)) z^J."""
+    z = np.asarray(z, dtype=np.complex128)
+    J = tuple(int(j) for j in J)
+    if len(J) != d + 1 or len(z) != d + 1:
+        raise ValueError("index and point must have d+1 coordinates")
+    if any(j < 0 for j in J) or sum(J) != k:
+        raise ValueError("index must be nonnegative with total degree k")
+    log_mod = 0.5 * (lgamma(k + d + 1) - d * math.log(math.pi) - sum(lgamma(j + 1) for j in J))
+    phase = 0.0
+    for j, zl in zip(J, z):
+        if j == 0:
+            continue
+        if zl == 0:
+            return LogComplex.zero()
+        log_mod += j * math.log(abs(zl))
+        phase += j * math.atan2(zl.imag, zl.real)
+    return LogComplex(log_mod, phase)
 
 
 # -- full kernels -------------------------------------------------------------
@@ -66,7 +85,7 @@ def test_bargmann_kernel_hermitian_symmetry():
 
 def test_monomial_section_normalization():
     # d=1, k=2, J=(1,1): sqrt(3!/(pi 1! 1!)) = sqrt(6/pi)
-    val = monomial_section(2, 1, (1, 1), BALANCED)
+    val = _monomial_section(2, 1, (1, 1), BALANCED)
     assert val.to_complex() == pytest.approx(math.sqrt(6.0 / math.pi) * 0.5, rel=1e-12)
 
 
@@ -75,7 +94,7 @@ def test_monomial_section_at_pole():
         z = np.zeros(d + 1, dtype=complex)
         z[0] = 1.0
         J = (k,) + (0,) * d
-        val = monomial_section(k, d, J, z)
+        val = _monomial_section(k, d, J, z)
         expect = math.sqrt(factorial(k + d) / (math.pi**d * factorial(k)))
         assert val.to_complex() == pytest.approx(expect, rel=1e-12)
 
@@ -88,14 +107,14 @@ def test_monomial_sections_resolve_identity():
         z = z / math.sqrt(float(np.vdot(z, z).real))
         total = 0.0
         for J in enumerate_indices(d, k):
-            total += abs(monomial_section(k, d, J, z).to_complex()) ** 2
+            total += abs(_monomial_section(k, d, J, z).to_complex()) ** 2
         expect = factorial(k + d) / (math.pi**d * factorial(k))
         assert total == pytest.approx(expect, rel=1e-11)
 
 
 def test_monomial_section_degree_mismatch():
     with pytest.raises(ValueError):
-        monomial_section(3, 1, (1, 1), BALANCED)
+        _monomial_section(3, 1, (1, 1), BALANCED)
 
 
 def test_projective_kernel_diagonal():
@@ -127,7 +146,7 @@ def test_projective_kernel_against_basis_summation():
         y /= math.sqrt(float(np.vdot(y, y).real))
         direct = 0j
         for J in enumerate_indices(d, k):
-            direct += (monomial_section(k, d, J, x) * monomial_section(k, d, J, y).conjugate()).to_complex()
+            direct += (_monomial_section(k, d, J, x) * _monomial_section(k, d, J, y).conjugate()).to_complex()
         assert projective_kernel(k, d, x, y).to_complex() == pytest.approx(direct, rel=1e-11)
 
 
@@ -273,7 +292,7 @@ def test_projective_weightsum_zero_coordinates():
         for pi0 in range(-k, k + 1):
             pi = IrrepLabel((pi0,))
             terms = [
-                (monomial_section(k, 2, J, x) * monomial_section(k, 2, J, y).conjugate()).to_complex()
+                (_monomial_section(k, 2, J, x) * _monomial_section(k, 2, J, y).conjugate()).to_complex()
                 for J in enumerate_indices(2, k, constraint=(W, pi))
             ]
             val = equivariant_kernel_weightsum(W, pi, k, x, y, "projective")
@@ -455,6 +474,26 @@ def test_affine_weightsum_rank_two_tilted_k4096():
     pi = IrrepLabel((0, 0))
     ws = equivariant_kernel_weightsum(W_AFF_R2, pi, 4096, UNIT3, UNIT3_TILTED, "affine")
     quad = equivariant_kernel_quadrature(W_AFF_R2, pi, 4096, UNIT3, UNIT3_TILTED, "affine")
+    assert _rel(ws, quad) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the weight sum loses 13.2 nats to cancellation, under its 13.8-nat guard, and is 3.4e-10 off",
+)
+def test_affine_weightsum_cancellation_guard_k14():
+    """The weight sum must refuse the series or stay within criterion 7's 1e-10.
+
+    At k = 10 and 12 the same inputs agree to 7e-12 and 3e-11; k = 16 raises.
+    """
+    pi = IrrepLabel((2,))
+    a, b = (0.9 * BALANCED, 0.3), 1.1j * BALANCED
+    quad = equivariant_kernel_quadrature(P1, pi, 14, a, b, "affine")
+    try:
+        ws = equivariant_kernel_weightsum(P1, pi, 14, a, b, "affine")
+    except ValueError:
+        return
     assert _rel(ws, quad) < 1e-10
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqszego.logcomplex import (
     NEG_INF,
@@ -153,3 +155,88 @@ def test_phase_stays_in_principal_range():
     lc = LogComplex(0.0, 17.0)
     assert -math.pi < lc.phase <= math.pi
     assert cmath.exp(1j * lc.phase) == pytest.approx(cmath.exp(17.0j), rel=1e-12)
+
+
+# -- properties ------------------------------------------------------------------
+
+# moduli within e^{+-20}, where to_complex loses at most ~|log_mod| ulps
+LOG_MODS = st.floats(-20.0, 20.0)
+PHASES = st.floats(-50.0, 50.0)
+NONZERO = st.builds(LogComplex, LOG_MODS, PHASES)
+ANY = st.one_of(NONZERO, st.just(LogComplex.zero()))
+TERMS = st.lists(st.tuples(st.one_of(st.floats(-8.0, 8.0), st.just(NEG_INF)), PHASES), max_size=40)
+
+
+def _close(got: complex, expect: complex, scale: float, rel: float = 1e-12) -> bool:
+    return abs(got - expect) <= rel * scale
+
+
+def _in_range(a: LogComplex) -> bool:
+    return -math.pi < a.phase <= math.pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=NONZERO, b=NONZERO)
+def test_mul_and_div_match_complex_arithmetic(a, b):
+    za, zb = a.to_complex(), b.to_complex()
+    prod, quot = a * b, a / b
+    assert _close(prod.to_complex(), za * zb, abs(za * zb))
+    assert _close(quot.to_complex(), za / zb, abs(za / zb))
+    assert _in_range(prod) and _in_range(quot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.builds(LogComplex, st.floats(-2.0, 2.0), PHASES), k=st.integers(-20, 20))
+def test_pow_int_matches_complex_power(a, k):
+    z = a.to_complex()
+    p = a.pow_int(k)
+    assert _close(p.to_complex(), z**k, abs(z) ** k)
+    assert _in_range(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=TERMS)
+def test_log_sum_exp_matches_direct_sum(terms):
+    log_mods = np.array([t[0] for t in terms], dtype=float)
+    phases = np.array([t[1] for t in terms], dtype=float)
+    direct = complex(np.sum(np.exp(log_mods + 1j * phases)))
+    scale = float(np.sum(np.exp(log_mods)))
+    got = log_sum_exp(log_mods, phases)
+    assert _close(got.to_complex(), direct, scale)
+    assert _in_range(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=TERMS.filter(lambda ts: any(t[0] > NEG_INF for t in ts)), c=st.floats(-700.0, 700.0))
+def test_log_sum_exp_shift_moves_log_modulus_by_the_shift(terms, c):
+    log_mods = np.array([t[0] for t in terms], dtype=float)
+    phases = np.array([t[1] for t in terms], dtype=float)
+    base = log_sum_exp(log_mods, phases)
+    shifted = log_sum_exp(log_mods + c, phases)
+    # the shift rounds each log-modulus by about ulp(|c|); compare against the term scale
+    scale = float(np.sum(np.exp(log_mods)))
+    back = LogComplex(shifted.log_mod - c, shifted.phase) if not shifted.is_zero else shifted
+    assert _close(back.to_complex(), base.to_complex(), scale, rel=1e-12 * (1.0 + abs(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_mod=LOG_MODS, phase=st.one_of(PHASES, st.integers(-40, 40).map(lambda m: m * math.pi)))
+def test_phase_lands_in_principal_range(log_mod, phase):
+    a = LogComplex(log_mod, phase)
+    assert _in_range(a)
+    assert _in_range(-a) and _in_range(a.conjugate())
+    assert _close(cmath.exp(1j * a.phase), cmath.exp(1j * phase), 1.0, rel=1e-13 * (1.0 + abs(phase)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ANY, k=st.integers(1, 50), n=st.integers(0, 10))
+def test_exact_zeros_stay_exact(a, k, n):
+    zero = LogComplex.zero()
+    assert (zero * a).is_zero and (a * zero).is_zero
+    assert zero.pow_int(k).is_zero
+    assert (-zero).is_zero and zero.conjugate().is_zero
+    if not a.is_zero:
+        assert (zero / a).is_zero
+    assert zero.phase == 0.0 and zero.to_complex() == 0j
+    assert log_sum_exp(np.full(n, NEG_INF), np.zeros(n)).is_zero
+    assert log_sum([zero] * n).is_zero

@@ -141,6 +141,12 @@ def test_projective_generator_is_tangent():
     assert abs(np.vdot(z, gen)) < 1e-12
 
 
+def test_generators_reject_unknown_model_first():
+    # the point's length is wrong too; the model is checked before any work
+    with pytest.raises(ValueError, match="unknown model 'sphere'"):
+        generators_at(P1, (1.0, 0.0, 0.0), "sphere")
+
+
 def test_moment_map_invariant_along_flow():
     # d/ds Phi(flow) = 0: the moment map is constant on orbits
     W = WeightMatrix(((1, -2),))
