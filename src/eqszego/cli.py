@@ -21,39 +21,28 @@ from .harness import (
     write_report_csv,
 )
 
+# subcommand -> (experiment, help)
 _SUBCOMMANDS = {
-    "diagonal": "diagonal",
-    "offdiag": "offdiagonal",
-    "translated": "translated",
-    "decay": "decay",
-    "selection": "selection",
-    "crosscheck": "crosscheck",
-    "gaussian": "gaussian",
-    "phase": "phase",
+    "diagonal": ("diagonal", "diagonal scaling against the leading prediction"),
+    "offdiag": ("offdiagonal", "off-diagonal scaling at sqrt(k)-shrinking displacements"),
+    "translated": ("translated", "off-diagonal scaling with a stabilizer translation"),
+    "decay": ("decay", "exponential decay off the zero level"),
+    "selection": ("selection", "vanishing of mismatched isotypes"),
+    "crosscheck": ("crosscheck", "randomized weight-sum vs quadrature agreement"),
+    "gaussian": ("gaussian", "orbit integral closed form vs quadrature"),
+    "phase": ("phase", "stationary data of the model phase function"),
 }
 
-_HELP = {
-    "diagonal": "diagonal scaling against the leading prediction",
-    "offdiag": "off-diagonal scaling at sqrt(k)-shrinking displacements",
-    "translated": "off-diagonal scaling with a stabilizer translation",
-    "decay": "exponential decay off the zero level",
-    "selection": "vanishing of mismatched isotypes",
-    "crosscheck": "randomized weight-sum vs quadrature agreement",
-    "gaussian": "orbit integral closed form vs quadrature",
-    "phase": "stationary data of the model phase function",
-}
-
-
-# override flag (argparse dest) -> config key; g0 and h0 exist for translated only
+# override flag -> (config key, help); g0 and h0 exist for translated only
 _OVERRIDES = {
-    "k": "k_schedule",
-    "irrep": "irrep",
-    "weights": "weights",
-    "point": "point",
-    "seed": "seed",
-    "out": "output",
-    "g0": "g0",
-    "h0": "h0",
+    "k": ("k_schedule", "override k_schedule (space-separated integers)"),
+    "irrep": ("irrep", "override irrep label (space-separated integers)"),
+    "weights": ("weights", "override weight rows ('-1 1; 0 1')"),
+    "point": ("point", "override base point (complex coordinates)"),
+    "seed": ("seed", "override random seed"),
+    "out": ("output", "override CSV output path"),
+    "g0": ("g0", "stabilizer element angles (radians)"),
+    "h0": ("h0", "unit fiber rotation, complex 're+imj'"),
 }
 
 
@@ -63,19 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="convergence experiments for equivariant kernel asymptotics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (experiment, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.set_defaults(experiment=experiment)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--k", help="override k_schedule (space-separated integers)")
-        p.add_argument("--irrep", help="override irrep label (space-separated integers)")
-        p.add_argument("--weights", help="override weight rows ('-1 1; 0 1')")
-        p.add_argument("--point", help="override base point (complex coordinates)")
-        p.add_argument("--seed", type=int, help="override random seed")
-        p.add_argument("--out", help="override CSV output path")
-        if name == "translated":
-            p.add_argument("--g0", help="stabilizer element angles (radians)")
-            p.add_argument("--h0", help="unit fiber rotation, complex 're+imj'")
+        for flag, (_, flag_help) in _OVERRIDES.items():
+            if name == "translated" or flag not in ("g0", "h0"):
+                p.add_argument(f"--{flag}", type=int if flag == "seed" else None, help=flag_help)
     return parser
 
 
@@ -85,7 +68,7 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
-    for flag, key in _OVERRIDES.items():
+    for flag, (key, _) in _OVERRIDES.items():
         value = getattr(args, flag, None)
         if value is not None:
             raw[key] = str(value)

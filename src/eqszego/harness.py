@@ -50,7 +50,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,9 +376,27 @@ def make_row(k: int, exact: LogComplex, predicted: LogComplex) -> ConvergenceRow
 
 @dataclass(frozen=True)
 class Check:
+    """One verdict; _check sets value, bound and margin, a bare check has none."""
+
     label: str
     passed: bool
     detail: str
+    value: float | None = None
+    bound: float | None = None
+    margin: float | None = None
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _check(label: str, value, op: str, bound, detail: str) -> Check:
+    """Compare value with bound under op; the one place a verdict is decided.
+
+    The margin is bound - value for < and <=, value - bound for > and >=,
+    so a positive margin is room to spare.
+    """
+    margin = bound - value if op[0] == "<" else value - bound
+    return Check(label, _OPS[op](value, bound), detail, value, bound, margin)
 
 
 @dataclass
@@ -524,20 +543,19 @@ def _relative_discrepancy(a: LogComplex, b: LogComplex) -> float:
 
 def _rate_checks(rows, tols, checks, fits) -> None:
     """Ratio-convergence assertions of the scaling sweep."""
-    if len(rows) < 4:
-        checks.append(Check("levels", False, f"only {len(rows)} usable levels in the schedule"))
+    levels = _check("levels", len(rows), ">=", 4, f"{len(rows)} usable levels")
+    if not levels.passed:
+        checks.append(replace(levels, detail=f"only {len(rows)} usable levels in the schedule"))
         return
-    checks.append(Check("levels", True, f"{len(rows)} usable levels"))
+    checks.append(levels)
     final = rows[-1]
     final_err = abs(final.ratio - 1.0)
     fits["final_ratio_err"] = final_err
-    checks.append(
-        Check(
-            "final_ratio",
-            final_err < tols["final_ratio"],
-            f"|ratio - 1| = {final_err:.3e} at k = {final.k} (tolerance {tols['final_ratio']:.3g})",
-        )
-    )
+    bound = tols["final_ratio"]
+    checks.append(_check(
+        "final_ratio", final_err, "<", bound,
+        f"|ratio - 1| = {final_err:.3e} at k = {final.k} (tolerance {bound:.3g})",
+    ))
     upper = rows[len(rows) // 2 :]
     pts = [(r.k, abs(r.ratio - 1.0)) for r in upper if abs(r.ratio - 1.0) > 1e-14]
     if len(pts) < 2:
@@ -547,13 +565,10 @@ def _rate_checks(rows, tols, checks, fits) -> None:
     fits["slope"] = slope
     fits["intercept"] = intercept
     fits["fit_residual"] = resid
-    checks.append(
-        Check(
-            "slope",
-            slope <= tols["slope_max"],
-            f"fitted log-log slope {slope:.3f} (tolerance <= {tols['slope_max']:.3g})",
-        )
-    )
+    bound = tols["slope_max"]
+    checks.append(_check(
+        "slope", slope, "<=", bound, f"fitted log-log slope {slope:.3f} (tolerance <= {bound:.3g})"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +617,7 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
         sw = split(center.frame, center.chart.chart_to_ambient(w))
         sv = split(center.frame, center.chart.chart_to_ambient(v))
     rows: list[ConvergenceRow] = []
+    oracle_k_max = tols.get("oracle_k_max")
     oracle_max = None
     for k in config.k_schedule:
         amp = a_factor_general(
@@ -625,7 +641,7 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
         )
         pred = leading_term(config.irrep, k, center.n, center.g, amp, sw, sv).value
         rows.append(make_row(k, exact, pred))
-        if k <= tols.get("oracle_k_max", 0.0):
+        if oracle_k_max is not None and k <= oracle_k_max:
             quad = equivariant_kernel_quadrature(
                 center.weights, config.irrep, k, pw, pv, center.model
             )
@@ -636,21 +652,16 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
     fits: dict[str, float] = {}
     checks: list[Check] = []
     _rate_checks(rows, tols, checks, fits)
-    if "oracle_k_max" in tols:
+    if oracle_k_max is not None:
         if oracle_max is None:
-            checks.append(
-                Check("oracle", True, f"no levels at or below {tols['oracle_k_max']:.0f}")
-            )
+            checks.append(Check("oracle", True, f"no levels at or below {oracle_k_max:.0f}"))
         else:
             fits["oracle_max_rel"] = oracle_max
-            checks.append(
-                Check(
-                    "oracle",
-                    oracle_max <= tols["oracle_rel"],
-                    f"weight-sum vs quadrature max relative {oracle_max:.3e} "
-                    f"(tolerance {tols['oracle_rel']:.3g})",
-                )
-            )
+            bound = tols["oracle_rel"]
+            checks.append(_check(
+                "oracle", oracle_max, "<=", bound,
+                f"weight-sum vs quadrature max relative {oracle_max:.3e} (tolerance {bound:.3g})",
+            ))
     seed = config.seed if translated else None
     return ExperimentReport(config.experiment, rows, fits, checks, seed=seed)
 
@@ -663,7 +674,6 @@ def run_decay(config: ExperimentConfig) -> ExperimentReport:
     rate -log(4 p (1-p)) / 2 derived from the point's moduli.
     """
     _check_point_precondition(config)
-    tols = config.tolerances
     z = _point_vector(config)
     bp = (z, 0.0) if config.model == "affine" else z
     ks, logmods = [], []
@@ -680,22 +690,18 @@ def run_decay(config: ExperimentConfig) -> ExperimentReport:
     slope, intercept, resid = _fit_line(ks, logmods)
     rate = -slope
     fits = {"rate": rate, "intercept": intercept, "fit_residual": resid}
-    checks = [
-        Check("positive_rate", rate > 0.0, f"fitted rate {rate:.6g} must be positive")
-    ]
+    checks = [_check("positive_rate", rate, ">", 0.0, f"fitted rate {rate:.6g} must be positive")]
     if config.model == "projective" and len(z) == 2:
         p = abs(z[0]) ** 2
         expected = -0.5 * math.log(4.0 * p * (1.0 - p))
         fits["expected_rate"] = expected
         rel = abs(rate - expected) / abs(expected)
-        checks.append(
-            Check(
-                "rate_match",
-                rel <= tols["rate_rel"],
-                f"rate {rate:.6g} vs dominant-term value {expected:.6g} "
-                f"(relative {rel:.3e}, tolerance {tols['rate_rel']:.3g})",
-            )
-        )
+        bound = config.tolerances["rate_rel"]
+        checks.append(_check(
+            "rate_match", rel, "<=", bound,
+            f"rate {rate:.6g} vs dominant-term value {expected:.6g} "
+            f"(relative {rel:.3e}, tolerance {bound:.3g})",
+        ))
     rows = [
         make_row(k, LogComplex(lm, 0.0), LogComplex(intercept + slope * k, 0.0))
         for k, lm in zip(ks, logmods)
@@ -713,19 +719,17 @@ def run_selection(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.model != "projective" or config.weights.g != 1 or config.weights.n_coords != 2:
         raise ValueError("the selection experiment is defined on the projective line")
-    tols = config.tolerances
     z = _point_vector(config)
     pi0 = config.irrep.weights[0]
     mismatched = [k for k in config.k_schedule if (k - pi0) % 2 != 0]
     if not mismatched:
         raise ValueError("schedule contains no parity-mismatched levels")
     rows: list[ConvergenceRow] = []
-    all_zero = True
+    nonzero = 0
     worst_rel = 0.0
     for k in mismatched:
         ws = equivariant_kernel_weightsum(config.weights, config.irrep, k, z, z, "projective")
-        if not ws.is_zero:
-            all_zero = False
+        nonzero += not ws.is_zero
         quad = equivariant_kernel_quadrature(
             config.weights, config.irrep, k, z, z, "projective"
         )
@@ -734,17 +738,15 @@ def run_selection(config: ExperimentConfig) -> ExperimentReport:
         worst_rel = max(worst_rel, rel)
         rows.append(make_row(k, quad, full))
     fits = {"max_quad_rel": worst_rel}
+    bound = config.tolerances["quad_rel"]
     checks = [
-        Check(
-            "weightsum_zero",
-            all_zero,
+        _check(
+            "weightsum_zero", nonzero, "<=", 0,
             f"weight sum vanishes identically at {len(mismatched)} mismatched levels",
         ),
-        Check(
-            "quadrature_small",
-            worst_rel < tols["quad_rel"],
-            f"max quadrature leakage {worst_rel:.3e} of the full kernel "
-            f"(tolerance {tols['quad_rel']:.3g})",
+        _check(
+            "quadrature_small", worst_rel, "<", bound,
+            f"max quadrature leakage {worst_rel:.3e} of the full kernel (tolerance {bound:.3g})",
         ),
     ]
     return ExperimentReport("selection", rows, fits, checks)
@@ -803,7 +805,6 @@ def _crosscheck_trial(rng, kind):
 
 def run_crosscheck(config: ExperimentConfig) -> ExperimentReport:
     """Randomized weight-sum vs quadrature agreement matrix."""
-    tols = config.tolerances
     rng = np.random.default_rng(config.seed)
     trials = max(int(config.trials), 1)
     pattern = ["proj_diag"] * 30 + ["proj_near"] * 10 + ["aff1"] * 12 + ["aff2"] * 8
@@ -818,12 +819,11 @@ def run_crosscheck(config: ExperimentConfig) -> ExperimentReport:
         worst = max(worst, rel)
         rows.append(make_row(k, ws, quad))
     fits = {"max_rel": worst}
+    bound = config.tolerances["rel"]
     checks = [
-        Check(
-            "dual_agreement",
-            worst <= tols["rel"],
-            f"max relative discrepancy {worst:.3e} over {trials} configurations "
-            f"(tolerance {tols['rel']:.3g})",
+        _check(
+            "dual_agreement", worst, "<=", bound,
+            f"max relative discrepancy {worst:.3e} over {trials} configurations (tolerance {bound:.3g})",
         )
     ]
     return ExperimentReport("crosscheck", rows, fits, checks, seed=config.seed)
@@ -878,7 +878,6 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
     randomized frames and displacements; both ranks use one 80-point
     tensor Gauss-Hermite oracle.
     """
-    tols = config.tolerances
     rng = np.random.default_rng(config.seed)
     trials = max(int(config.trials), 2)
     counts = {1: trials - max(trials // 6, 1), 2: max(trials // 6, 1)}
@@ -896,12 +895,12 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
             exact, pred = LogComplex.from_complex(oracle), LogComplex.from_complex(closed)
             rows.append(make_row(len(rows) + 1, exact, pred))
     fits = {f"max_rel_g{g}": worst[g] for g in counts}
+    bound = config.tolerances["rel"]
     checks = [
-        Check(
-            f"closed_form_g{g}",
-            worst[g] < tols["rel"],
+        _check(
+            f"closed_form_g{g}", worst[g], "<", bound,
             f"max relative residual {worst[g]:.3e} over {counts[g]} rank-{rank} trials "
-            f"(tolerance {tols['rel']:.3g})",
+            f"(tolerance {bound:.3g})",
         )
         for g, rank in ((1, "one"), (2, "two"))
     ]
@@ -910,7 +909,6 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
 
 def run_phase(config: ExperimentConfig) -> ExperimentReport:
     """Stationary data of the model phase and grid nonnegativity."""
-    tols = config.tolerances
     _, grad, hess = model_phase(1.0, 0.0)
     grad_norm = float(np.linalg.norm(grad))
     target = np.array([[0.0, 1.0], [1.0, 1.0j]], dtype=np.complex128)
@@ -918,20 +916,17 @@ def run_phase(config: ExperimentConfig) -> ExperimentReport:
     t, theta = np.meshgrid(np.linspace(0.05, 4.0, 80), np.linspace(-math.pi, math.pi, 161), indexing="ij")
     min_imag = float(np.min(model_phase(t, theta)[0].imag))
     fits = {"grad_norm": grad_norm, "hessian_residual": hess_res, "grid_min_imag": min_imag}
+    stationary = config.tolerances["stationary"]
     checks = [
-        Check(
-            "stationary_gradient",
-            grad_norm <= tols["stationary"],
+        _check(
+            "stationary_gradient", grad_norm, "<=", stationary,
             f"|gradient| = {grad_norm:.3e} at (t, theta) = (1, 0)",
         ),
-        Check(
-            "hessian",
-            hess_res <= tols["stationary"],
-            f"Hessian residual {hess_res:.3e} against [[0,1],[1,i]]",
+        _check(
+            "hessian", hess_res, "<=", stationary, f"Hessian residual {hess_res:.3e} against [[0,1],[1,i]]"
         ),
-        Check(
-            "imaginary_part_nonneg",
-            min_imag >= tols["grid_min_imag"],
+        _check(
+            "imaginary_part_nonneg", min_imag, ">=", config.tolerances["grid_min_imag"],
             f"min imaginary part {min_imag:.3e} on the sample grid",
         ),
     ]

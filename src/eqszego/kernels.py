@@ -299,12 +299,11 @@ def equivariant_kernel_weightsum(
     return pref * _series_sum(log_mods, phases)
 
 
-def _theta_grid(g: int, n_per_dim: int):
-    axes = [np.arange(n_per_dim) * (2.0 * math.pi / n_per_dim) for _ in range(g)]
-    if g == 1:
-        return [axes[0]]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [m.ravel() for m in mesh]
+def _theta_grid(g: int, n_per_dim: int) -> list:
+    """The g angles of the n_per_dim^g trapezoid nodes, the last one varying fastest."""
+    grid = np.indices((n_per_dim,) * g, dtype=float).reshape(g, -1)
+    grid *= 2.0 * math.pi / n_per_dim
+    return list(grid)
 
 
 def _integrand(W: WeightMatrix, k: int, x, y, model: str):
@@ -372,43 +371,34 @@ def _log_alias_bound(W: WeightMatrix, irrep: IrrepLabel, k: int, cvals, model: s
 
 def _quadrature_pass(W, irrep, k, cvals, pref: LogComplex, model: str, n_per_dim: int):
     """One trapezoid evaluation; returns (value, max node log-modulus)."""
-    g = W.g
-    thetas = _theta_grid(g, n_per_dim)
-    n_total = len(thetas[0])
-    s = np.zeros(n_total, dtype=np.complex128)
-    for l in range(W.n_coords):
-        if cvals[l] == 0.0:
-            continue
-        wl = W.column(l)
-        ph = np.zeros(n_total)
-        for i in range(g):
-            ph = ph - wl[i] * thetas[i]
-        s = s + cvals[l] * np.exp(1j * ph)
-    char_phase = np.zeros(n_total)
-    for i in range(g):
-        char_phase = char_phase - irrep.weights[i] * thetas[i]
+    thetas = _theta_grid(W.g, n_per_dim)
+
+    def phase(weights):
+        """-weights.theta at every node."""
+        return -sum(w * t for w, t in zip(weights, thetas))
+
+    if cvals.any():
+        s = sum(c * np.exp(1j * phase(W.column(l))) for l, c in enumerate(cvals) if c != 0.0)
+    else:  # f is 0 (projective) or 1 (affine) at every node
+        s = np.zeros_like(thetas[0], dtype=np.complex128)
+    char_phase = phase(irrep.weights)
 
     if model == "projective":
-        mods = np.abs(s)
-        live = mods > 0.0
-        expo_re = np.full(n_total, NEG_INF)
-        expo_im = np.zeros(n_total)
-        expo_re[live] = k * np.log(mods[live])
-        expo_im[live] = k * np.angle(s[live]) + char_phase[live]
+        with np.errstate(divide="ignore"):  # log 0 = -inf, a node of weight 0
+            expo_re = k * np.log(np.abs(s))
+        expo_im = k * np.angle(s) + char_phase
     else:
         expo_re = k * s.real
         expo_im = k * s.imag + char_phase
 
-    m = float(np.max(expo_re))
+    m = float(expo_re.max())
     if m == NEG_INF:
         return pref * LogComplex.zero(), NEG_INF
-    total = np.sum(np.exp(expo_re - m + 1j * expo_im))
-    mean = total / n_total
-    if mean == 0.0:
-        return pref * LogComplex.zero(), pref.log_mod + m
+    mean = np.exp(expo_re - m + 1j * expo_im).sum() / len(expo_re)
     node_scale = pref.log_mod + m
-    value = pref * LogComplex(m + math.log(abs(mean)), float(np.angle(mean)))
-    return value, node_scale
+    if mean == 0.0:
+        return pref * LogComplex.zero(), node_scale
+    return pref * LogComplex(m + math.log(abs(mean)), float(np.angle(mean))), node_scale
 
 
 def equivariant_kernel_quadrature(

@@ -108,7 +108,7 @@ class LogComplex:
             if k < 0:
                 raise ZeroDivisionError("negative power of exact zero")
             return LogComplex.zero()
-        return LogComplex(k * self.log_mod, wrap_phase(k * wrap_phase(self.phase)))
+        return LogComplex(k * self.log_mod, k * self.phase)
 
 
 def log_diff_mod(a: LogComplex, b: LogComplex) -> float:

@@ -231,6 +231,56 @@ def test_report_pass_fail():
 # -- runners ------------------------------------------------------------------
 
 
+# checks whose comparison is strict: passed needs a margin > 0, not >= 0
+_STRICT = {"final_ratio", "positive_rate", "quadrature_small", "closed_form_g1", "closed_form_g2"}
+
+_SHORT_RUNS = {
+    "diagonal": dict(k_schedule=(26, 50, 100, 200)),
+    "offdiagonal": dict(k_schedule=(16, 32, 64, 128)),
+    "translated": dict(k_schedule=(16, 32, 64, 128)),
+    "decay": dict(k_schedule=(250, 500, 1000)),
+    "selection": dict(k_schedule=tuple(range(1, 21))),
+    "crosscheck": dict(trials=6),
+    "gaussian": dict(trials=12),
+    "phase": {},
+    "too_few_levels": dict(k_schedule=(26, 50)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHORT_RUNS))
+def test_every_check_records_value_bound_and_margin(name):
+    # none of these runs takes a trivial pass ("ratio exact to roundoff", "no levels at or below")
+    experiment = "diagonal" if name == "too_few_levels" else name
+    rep = run_experiment(make_config(experiment, **_SHORT_RUNS[name]))
+    assert rep.checks
+    for c in rep.checks:
+        assert None not in (c.value, c.bound, c.margin), c
+        assert c.passed == (c.margin > 0 if c.label in _STRICT else c.margin >= 0), c
+    if name == "too_few_levels":
+        (levels,) = rep.checks
+        assert (levels.passed, levels.value, levels.bound, levels.margin) == (False, 2, 4, -2)
+        assert levels.detail == "only 2 usable levels in the schedule"
+
+
+def test_tightened_tolerance_fails_with_negative_margin():
+    rep = run_experiment(
+        make_config("diagonal", k_schedule=(26, 50, 100, 200), tolerances={"final_ratio": 1e-9})
+    )
+    (final,) = [c for c in rep.checks if c.label == "final_ratio"]
+    assert final.passed is False
+    assert final.bound == 1e-9 and final.margin < 0
+    assert final.margin == final.bound - final.value
+    assert "(tolerance 1e-09)" in final.detail
+    assert not rep.passed
+
+
+def test_non_strict_check_passes_at_its_bound():
+    # the phase grid reads exactly 0 for all three quantities; <= and >= admit equality
+    rep = run_experiment(make_config("phase", tolerances={"stationary": 0.0, "grid_min_imag": 0.0}))
+    assert [(c.value, c.bound, c.margin) for c in rep.checks] == [(0.0, 0.0, 0.0)] * 3
+    assert rep.passed
+
+
 def test_run_experiment_dispatch():
     rep = run_experiment(make_config("phase"))
     assert rep.experiment == "phase"
@@ -316,6 +366,18 @@ def test_cli_writes_csv(argv, n_rows, tmp_path, capsys):
     write_report_csv(again, rows, seed=seed)
     assert again.read_bytes() == out.read_bytes()
     assert "result: PASS" in capsys.readouterr().out
+
+
+def test_cli_subcommands_map_onto_experiments(capsys):
+    parser = cli._build_parser()
+    experiments = [parser.parse_args([name]).experiment for name in cli._SUBCOMMANDS]
+    assert sorted(experiments) == sorted(EXPERIMENTS)
+    for flag in ("--g0", "--h0"):
+        assert getattr(parser.parse_args(["translated", flag, "1"]), flag[2:]) == "1"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["offdiag", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_cli_config_file(tmp_path, capsys):
