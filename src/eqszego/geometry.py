@@ -73,12 +73,12 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(b, a).real)
 
 
-def _mgs(vectors: Sequence[np.ndarray], tol: float = _DEPENDENCE_TOL):
+def _mgs(vectors: Sequence[np.ndarray]):
     """Modified Gram-Schmidt over R with one re-orthogonalization pass.
 
     Returns (basis, dependent_index); dependent_index is None when all
     inputs were independent, else the index of the first vector whose
-    residual fell below tol relative to its input norm.
+    residual fell below _DEPENDENCE_TOL relative to its input norm.
     """
     basis: list[np.ndarray] = []
     for idx, v in enumerate(vectors):
@@ -91,7 +91,7 @@ def _mgs(vectors: Sequence[np.ndarray], tol: float = _DEPENDENCE_TOL):
             for e in basis:
                 u = u - _real_dot(u, e) * e
         r = math.sqrt(norm_sq(u))
-        if r <= tol * scale:
+        if r <= _DEPENDENCE_TOL * scale:
             return basis, idx
         basis.append(u / r)
     return basis, None
@@ -126,7 +126,6 @@ class SplitFrame:
     """Orthonormal frames for the vertical/horizontal/transverse splitting."""
 
     generators: tuple
-    j_generators: tuple
     horizontal_basis: tuple
     on_vertical: tuple = field(repr=False)
     on_transverse: tuple = field(repr=False)
@@ -196,7 +195,6 @@ def build_split_frame(generators: Sequence) -> SplitFrame:
 
     return SplitFrame(
         generators=gens,
-        j_generators=tuple(1.0j * v for v in gens),
         horizontal_basis=tuple(horiz),
         on_vertical=tuple(on_v),
         on_transverse=on_t,

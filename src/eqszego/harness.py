@@ -31,18 +31,20 @@ Config files are plain key = value text.  Recognized keys:
     g0           torus element angles (radians) for translated runs
     h0           unit complex fiber rotation for translated runs
     output       CSV report path
-    tol_*        real overrides of the experiment's own tolerances; other
-                 keys are rejected.  diagonal, translated: tol_final_ratio,
-                 tol_slope_max; offdiagonal adds tol_oracle_rel and
-                 tol_oracle_k_max; decay: tol_rate_rel; selection:
-                 tol_quad_rel; crosscheck, gaussian: tol_rel; phase:
-                 tol_stationary, tol_grid_min_imag
+    tol_*        real overrides of the experiment's default tolerances;
+                 other keys are rejected.  diagonal, translated:
+                 tol_final_ratio, tol_slope_max; offdiagonal adds
+                 tol_oracle_rel and tol_oracle_k_max; decay: tol_rate_rel;
+                 selection: tol_quad_rel; crosscheck, gaussian: tol_rel;
+                 phase: tol_stationary, tol_grid_min_imag
 
-Unset keys fall back to per-experiment defaults.  CSV reports use the
-fixed header ``k,exact_logmod,exact_phase,pred_logmod,pred_phase,
-ratio_re,ratio_im,abs_ratio_err`` with repr-exact floats, so re-parsing
-a report reproduces the rows bit for bit; randomized experiments record
-their seed in a leading ``# seed=`` comment line.
+Unset keys fall back to per-experiment defaults.  One table,
+_EXPERIMENTS, holds each experiment's runner, default model, default
+k_schedule and default tolerances.  CSV reports use the fixed header
+``k,exact_logmod,exact_phase,pred_logmod,pred_phase,ratio_re,ratio_im,
+abs_ratio_err`` with repr-exact floats, so re-parsing a report
+reproduces the rows bit for bit; randomized experiments record their
+seed in a leading ``# seed=`` comment line.
 """
 
 from __future__ import annotations
@@ -81,22 +83,6 @@ CSV_HEADER = "k,exact_logmod,exact_phase,pred_logmod,pred_phase,ratio_re,ratio_i
 
 _DEFAULT_SEED = 20260816
 _OFF_LEVEL_MIN = 1e-6
-
-_DEFAULT_TOLERANCES = {
-    "diagonal": {"final_ratio": 0.01, "slope_max": -0.9},
-    "offdiagonal": {
-        "final_ratio": 0.05,
-        "slope_max": -0.4,
-        "oracle_rel": 1e-10,
-        "oracle_k_max": 128.0,
-    },
-    "translated": {"final_ratio": 0.05, "slope_max": -0.4},
-    "decay": {"rate_rel": 0.10},
-    "selection": {"quad_rel": 1e-12},
-    "crosscheck": {"rel": 1e-10},
-    "gaussian": {"rel": 1e-8},
-    "phase": {"stationary": 1e-14, "grid_min_imag": -1e-15},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +136,6 @@ def _default_displacements(model: str, weights: WeightMatrix):
     return (w, v)
 
 
-def _default_schedule(experiment: str):
-    if experiment == "diagonal":
-        return [25 * 2**j for j in range(9)]
-    if experiment in ("offdiagonal", "translated"):
-        return [16 * 2**j for j in range(9)]
-    if experiment == "decay":
-        return [250, 500, 1000, 2000]
-    if experiment == "selection":
-        return list(range(1, 201))
-    return [1]
-
-
 def make_config(
     experiment: str,
     *,
@@ -179,11 +153,12 @@ def make_config(
     tolerances: dict[str, float] | None = None,
     output_path: str | None = None,
 ) -> ExperimentConfig:
-    """Build a validated config, filling model-appropriate defaults."""
-    if experiment not in EXPERIMENTS:
+    """Build a validated config, filling defaults from _EXPERIMENTS."""
+    if experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
+    _, default_model, default_schedule, default_tols = _EXPERIMENTS[experiment]
     if model is None:
-        model = "affine" if experiment in ("offdiagonal", "gaussian") else "projective"
+        model = default_model
     if model not in ("affine", "projective"):
         raise ValueError(f"unknown model {model!r}")
     if weights is None:
@@ -206,16 +181,15 @@ def make_config(
     w = defaults_wv[0] if w is None else tuple(complex(z) for z in w)
     v = defaults_wv[1] if v is None else tuple(complex(z) for z in v)
     if k_schedule is None:
-        k_schedule = _default_schedule(experiment)
+        k_schedule = default_schedule
         if experiment != "selection":
             k_schedule = _parity_adjusted(k_schedule, irrep, model, weights)
-    else:
-        k_schedule = tuple(int(k) for k in k_schedule)
+    k_schedule = tuple(int(k) for k in k_schedule)
     if any(k <= 0 for k in k_schedule):
         raise ValueError("k_schedule entries must be positive")
     if any(b <= a for a, b in zip(k_schedule, k_schedule[1:])):
         raise ValueError("k_schedule must be strictly increasing")
-    tols = dict(_DEFAULT_TOLERANCES[experiment])
+    tols = dict(default_tols)
     if tolerances:
         unknown = sorted(set(tolerances) - set(tols))
         if unknown:
@@ -241,7 +215,7 @@ def make_config(
         point=point,
         irrep=irrep,
         displacements=(w, v),
-        k_schedule=tuple(k_schedule),
+        k_schedule=k_schedule,
         seed=_DEFAULT_SEED if seed is None else int(seed),
         trials=int(trials),
         g0=g0,
@@ -483,48 +457,6 @@ def read_report_csv(path: str) -> tuple[list[ConvergenceRow], int | None]:
 # shared experiment machinery
 
 
-@dataclass(frozen=True)
-class _Center:
-    model: str
-    weights: WeightMatrix
-    point: np.ndarray
-    chart: object | None
-    frame: object
-    stab: object
-    multipliers: tuple
-    v_eff: float
-    n: int
-    g: int
-
-    def bundle_point(self):
-        if self.model == "affine":
-            return (self.point, 0.0)
-        return self.point
-
-
-def _build_center(config: ExperimentConfig, need_chart: bool) -> _Center:
-    z = _point_vector(config)
-    weights = config.weights
-    model = config.model
-    stab = stabilizer_of(weights, z, model)
-    mult = tuple(fiber_multiplier(weights, t, z) for t in stab.elements)
-    v_eff = effective_volume(weights, z, model)
-    frame = build_split_frame(generators_at(weights, z, model))
-    chart = None
-    if need_chart:
-        if model == "affine":
-            chart = bargmann_chart(z, weights)
-        elif len(z) == 2:
-            chart = p1_chart(z, weights)
-        else:
-            raise ValueError("projective charts are implemented for the projective line only")
-    n = len(z) if model == "affine" else len(z) - 1
-    return _Center(
-        model=model, weights=weights, point=z, chart=chart, frame=frame,
-        stab=stab, multipliers=mult, v_eff=v_eff, n=n, g=frame.rank,
-    )
-
-
 def _fit_line(x, y) -> tuple[float, float, float]:
     """Least-squares line through (x, y): slope, intercept, max residual."""
     x = np.asarray(x, dtype=float)
@@ -575,76 +507,86 @@ def _rate_checks(rows, tols, checks, fits) -> None:
 # experiments
 
 
-def _translation(config: ExperimentConfig, center: _Center):
-    """(g0, h0) moving the first argument of a translated run.
+def _translation(config: ExperimentConfig, z: np.ndarray):
+    """(g0, h0) moving the first argument of a translated run centered at z.
 
     g0 defaults to pi in every angle and h0 to a seeded random unit
     rotation.  g0 must sit in the stabilizer of the center so both
     arguments stay in one chart.
     """
-    angles = config.g0 if config.g0 is not None else (math.pi,) * center.weights.g
+    angles = config.g0 if config.g0 is not None else (math.pi,) * config.weights.g
     g0 = TorusElement(tuple(angles))
     if config.h0 is not None:
         h0 = config.h0
     else:
         h0 = cmath.exp(1j * np.random.default_rng(config.seed).uniform(0.0, 2.0 * math.pi))
     h0 = h0 / abs(h0)
-    moved_center = act_affine(center.weights, g0, center.point)
-    if center.model == "projective":
-        overlap = abs(complex(np.vdot(center.point, moved_center)))
-        stabilized = abs(overlap - norm_sq(center.point)) <= 1e-9
+    moved = act_affine(config.weights, g0, z)
+    if config.model == "projective":
+        stabilized = abs(abs(complex(np.vdot(z, moved))) - norm_sq(z)) <= 1e-9
     else:
-        stabilized = float(np.max(np.abs(moved_center - center.point))) <= 1e-9
+        stabilized = float(np.max(np.abs(moved - z))) <= 1e-9
     if not stabilized:
         raise ValueError("g0 must stabilize the center point")
     return g0, h0
 
 
 def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
-    """The scaling sweep of the module docstring; diagonal splits are 0."""
+    """The scaling sweep of the module docstring; diagonal splits are 0.
+
+    The center's torus data, its chart, the translation and the
+    displacements are checked in that order, so a config with several
+    faults raises the error of the first.
+    """
     diagonal = config.experiment == "diagonal"
     translated = config.experiment == "translated"
-    center = _build_center(config, need_chart=not diagonal)
-    tols = config.tolerances
-    g0, h0 = _translation(config, center) if translated else (None, 1.0 + 0.0j)
+    weights, model, irrep, tols = config.weights, config.model, config.irrep, config.tolerances
+    z = _point_vector(config)
+    stab = stabilizer_of(weights, z, model)
+    mult = tuple(fiber_multiplier(weights, t, z) for t in stab.elements)
+    v_eff = effective_volume(weights, z, model)
+    frame = build_split_frame(generators_at(weights, z, model))
+    n = len(z) if model == "affine" else len(z) - 1
+    g0, h0 = None, 1.0 + 0.0j
     if diagonal:
-        sw = sv = split(center.frame, np.zeros(center.weights.n_coords, dtype=np.complex128))
+        pw = pv = (z, 0.0) if model == "affine" else z
+        sw = sv = split(frame, np.zeros(len(z), dtype=np.complex128))
     else:
+        if model == "affine":
+            chart = bargmann_chart(z, weights)
+        elif len(z) == 2:
+            chart = p1_chart(z, weights)
+        else:
+            raise ValueError("projective charts are implemented for the projective line only")
+        if translated:
+            g0, h0 = _translation(config, z)
         w = np.asarray(config.displacements[0], dtype=np.complex128)
         v = np.asarray(config.displacements[1], dtype=np.complex128)
-        if len(w) != center.chart.n or len(v) != center.chart.n:
-            raise ValueError(f"displacements must have {center.chart.n} chart coordinates")
-        sw = split(center.frame, center.chart.chart_to_ambient(w))
-        sv = split(center.frame, center.chart.chart_to_ambient(v))
+        if len(w) != chart.n or len(v) != chart.n:
+            raise ValueError(f"displacements must have {chart.n} chart coordinates")
+        sw = split(frame, chart.chart_to_ambient(w))
+        sv = split(frame, chart.chart_to_ambient(v))
     rows: list[ConvergenceRow] = []
     oracle_k_max = tols.get("oracle_k_max")
     oracle_max = None
     for k in config.k_schedule:
-        amp = a_factor_general(
-            config.irrep, k, center.stab, center.multipliers, center.v_eff, g0, h0
-        )
+        amp = a_factor_general(irrep, k, stab, mult, v_eff, g0, h0)
         if amp == 0.0:
             continue
-        if diagonal:
-            pw = pv = center.bundle_point()
-        else:
-            pw = chart_point(center.chart, k, w)
-            pv = chart_point(center.chart, k, v)
+        if not diagonal:
+            pw = chart_point(chart, k, w)
+            pv = chart_point(chart, k, v)
         if translated:
-            if center.model == "projective":
-                pw = h0 * act_affine(center.weights, g0, pw)
+            if model == "projective":
+                pw = h0 * act_affine(weights, g0, pw)
             else:
                 vec, ang = pw
-                pw = (act_affine(center.weights, g0, vec), ang + cmath.phase(h0))
-        exact = equivariant_kernel_weightsum(
-            center.weights, config.irrep, k, pw, pv, center.model
-        )
-        pred = leading_term(config.irrep, k, center.n, center.g, amp, sw, sv).value
+                pw = (act_affine(weights, g0, vec), ang + cmath.phase(h0))
+        exact = equivariant_kernel_weightsum(weights, irrep, k, pw, pv, model)
+        pred = leading_term(irrep, k, n, frame.rank, amp, sw, sv).value
         rows.append(make_row(k, exact, pred))
         if oracle_k_max is not None and k <= oracle_k_max:
-            quad = equivariant_kernel_quadrature(
-                center.weights, config.irrep, k, pw, pv, center.model
-            )
+            quad = equivariant_kernel_quadrature(weights, irrep, k, pw, pv, model)
             rel = _relative_discrepancy(exact, quad)
             oracle_max = rel if oracle_max is None else max(oracle_max, rel)
     if not rows:
@@ -933,23 +875,34 @@ def run_phase(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("phase", [], fits, checks)
 
 
-_RUNNERS = {
-    "diagonal": _run_scaling,
-    "offdiagonal": _run_scaling,
-    "translated": _run_scaling,
-    "decay": run_decay,
-    "selection": run_selection,
-    "crosscheck": run_crosscheck,
-    "gaussian": run_gaussian,
-    "phase": run_phase,
+# experiment -> (runner, default model, default k_schedule before the
+# projective-line parity shift, default tolerances)
+_EXPERIMENTS = {
+    "diagonal": (
+        _run_scaling, "projective", tuple(25 * 2**j for j in range(9)),
+        {"final_ratio": 0.01, "slope_max": -0.9},
+    ),
+    "offdiagonal": (
+        _run_scaling, "affine", tuple(16 * 2**j for j in range(9)),
+        {"final_ratio": 0.05, "slope_max": -0.4, "oracle_rel": 1e-10, "oracle_k_max": 128.0},
+    ),
+    "translated": (
+        _run_scaling, "projective", tuple(16 * 2**j for j in range(9)),
+        {"final_ratio": 0.05, "slope_max": -0.4},
+    ),
+    "decay": (run_decay, "projective", (250, 500, 1000, 2000), {"rate_rel": 0.10}),
+    "selection": (run_selection, "projective", range(1, 201), {"quad_rel": 1e-12}),
+    "crosscheck": (run_crosscheck, "projective", (1,), {"rel": 1e-10}),
+    "gaussian": (run_gaussian, "affine", (1,), {"rel": 1e-8}),
+    "phase": (run_phase, "projective", (1,), {"stationary": 1e-14, "grid_min_imag": -1e-15}),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a config to its experiment runner."""
     try:
-        runner = _RUNNERS[config.experiment]
+        runner = _EXPERIMENTS[config.experiment][0]
     except KeyError:
         raise ValueError(f"unknown experiment {config.experiment!r}") from None
     return runner(config)

@@ -49,6 +49,7 @@ _T_GRID = np.geomspace(1e-4, 30.0, 40)[:, None]
 _LOG_GEOM = -_T_GRID * _N_CANDIDATES - np.log(-np.expm1(-_T_GRID * _N_CANDIDATES))
 _UNIT_TOL = 1e-9
 _MAX_CANCEL_NATS = math.log(1e6)  # a series cancelled past this keeps no digits
+_TAIL_NATS = 40.0
 
 
 class QuadratureError(RuntimeError):
@@ -240,7 +241,6 @@ def equivariant_kernel_weightsum(
     x,
     y,
     model: str,
-    tail_nats: float = 40.0,
 ) -> LogComplex:
     """Isotypic kernel by direct summation over the weight lattice.
 
@@ -251,9 +251,10 @@ def equivariant_kernel_weightsum(
     (k/pi)^n e^{i k (theta_x - theta_y)} e^{-k(|a|^2+|b|^2)/2}, which
     is the character-weighted group average of the full kernel.  The
     affine series stops at the first degree M > S = k sum|a_l b_l| whose
-    unconstrained envelope tail sum_{m > M} S^m/m! lies below e^{-tail_nats}
-    of the largest term kept (or of e^S, when no index matches); a zero
-    slack coordinate turns |J| <= M into one block |(J, s)| = M.  Raises
+    unconstrained envelope tail sum_{m > M} S^m/m! lies below
+    e^{-_TAIL_NATS} = e^{-40} of the largest term kept (or of e^S, when
+    no index matches); a zero slack coordinate turns |J| <= M into one
+    block |(J, s)| = M.  Raises
     ValueError when the series cancels by more than a factor 1e6 (the
     quadrature kernel still applies there).
     """
@@ -287,10 +288,10 @@ def equivariant_kernel_weightsum(
         return _series_terms(J, 0.0, log_c, arg_c)
 
     # every term is at most S^m/m! <= e^S, so this degree is at most the final one
-    M = _truncation_degree(S, S - tail_nats)
+    M = _truncation_degree(S, S - _TAIL_NATS)
     log_mods, phases = terms(M)
     top = log_mods.max(initial=NEG_INF)
-    M_final = _truncation_degree(S, top - tail_nats if top > NEG_INF else S - 2.0 * tail_nats)
+    M_final = _truncation_degree(S, top - _TAIL_NATS if top > NEG_INF else S - 2.0 * _TAIL_NATS)
     if M_final > M:
         log_mods, phases = terms(M_final)
 

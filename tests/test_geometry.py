@@ -134,7 +134,7 @@ def test_brute_force_orthocomplement_oracle():
     def realify(vec):
         return np.concatenate([vec.real, vec.imag])
 
-    pinned = [realify(u) for u in list(frame.generators) + list(frame.j_generators)]
+    pinned = [realify(u) for u in list(frame.generators) + [1j * u for u in frame.generators]]
     A = np.array(pinned)
     # dense oracle: null space of A acting on R^{2n}
     _, s, vt = np.linalg.svd(A)

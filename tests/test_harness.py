@@ -166,6 +166,50 @@ def test_make_config_defaults_per_experiment():
     assert make_config("decay").point == pytest.approx((SQ9, SQ1))
 
 
+_DOUBLING_25 = (25, 50, 100, 200, 400, 800, 1600, 3200, 6400)
+_DOUBLING_16 = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+_DIAGONAL_TOLS = {"final_ratio": 0.01, "slope_max": -0.9}
+_SCALING_TOLS = {"final_ratio": 0.05, "slope_max": -0.4}
+
+# (experiment, model passed) -> (model, k_schedule, tolerances, trials); on
+# the projective line, irrep 0 shifts odd default levels up by one, except
+# for selection
+_LITERAL_DEFAULTS = {
+    ("diagonal", None): ("projective", (26,) + _DOUBLING_25[1:], _DIAGONAL_TOLS, 120),
+    ("diagonal", "affine"): ("affine", _DOUBLING_25, _DIAGONAL_TOLS, 120),
+    ("offdiagonal", None): (
+        "affine",
+        _DOUBLING_16,
+        {"final_ratio": 0.05, "slope_max": -0.4, "oracle_rel": 1e-10, "oracle_k_max": 128.0},
+        120,
+    ),
+    ("translated", None): ("projective", _DOUBLING_16, _SCALING_TOLS, 120),
+    ("translated", "affine"): ("affine", _DOUBLING_16, _SCALING_TOLS, 120),
+    ("decay", None): ("projective", (250, 500, 1000, 2000), {"rate_rel": 0.1}, 120),
+    ("decay", "affine"): ("affine", (250, 500, 1000, 2000), {"rate_rel": 0.1}, 120),
+    ("selection", None): ("projective", tuple(range(1, 201)), {"quad_rel": 1e-12}, 120),
+    ("crosscheck", None): ("projective", (2,), {"rel": 1e-10}, 60),
+    ("gaussian", None): ("affine", (1,), {"rel": 1e-8}, 120),
+    ("phase", None): ("projective", (2,), {"stationary": 1e-14, "grid_min_imag": -1e-15}, 120),
+}
+
+
+@pytest.mark.parametrize("experiment, model", list(_LITERAL_DEFAULTS))
+def test_make_config_literal_defaults(experiment, model):
+    expected_model, ks, tols, trials = _LITERAL_DEFAULTS[(experiment, model)]
+    cfg = make_config(experiment, model=model)
+    assert (cfg.model, cfg.k_schedule, cfg.tolerances, cfg.trials, cfg.seed) == (
+        expected_model, ks, tols, trials, 20260816
+    )
+    # a config owns its tolerances: changing them leaves the defaults alone
+    cfg.tolerances.clear()
+    assert make_config(experiment, model=model).tolerances == tols
+
+
+def test_literal_defaults_cover_every_experiment():
+    assert {e for e, _ in _LITERAL_DEFAULTS} == set(EXPERIMENTS)
+
+
 # -- rows and CSV -------------------------------------------------------------
 
 
@@ -323,6 +367,32 @@ def test_run_translated_guards():
         run_experiment(make_config("translated", k_schedule=ks, h0=0.5 + 0.0j))
     with pytest.raises(ValueError, match="stabilize"):
         run_experiment(make_config("translated", k_schedule=ks, g0=(0.5,)))
+
+
+_P2 = {"model": "projective", "weights": ((-1, 1, 0), (0, -1, 1)), "irrep": (0, 0)}
+_P2_CHART = "projective charts are implemented for the projective line only"
+
+
+@pytest.mark.parametrize(
+    "experiment, kwargs, message",
+    [
+        ("translated", {"g0": (0.3,)}, "g0 must stabilize the center point"),
+        ("offdiagonal", _P2, _P2_CHART),
+        (
+            "offdiagonal",
+            {"model": "affine", "w": (0.1,), "v": (0.2,)},
+            "displacements must have 2 chart coordinates",
+        ),
+        ("diagonal", {"k_schedule": (1, 3)}, "empty parity-matched schedule"),
+        # the chart is built before g0 is checked, so the chart error wins
+        ("translated", {**_P2, "g0": (0.3, 0.2)}, _P2_CHART),
+    ],
+)
+def test_scaling_sweep_error_paths(experiment, kwargs, message):
+    cfg = make_config(experiment, **kwargs)
+    with pytest.raises(ValueError) as info:
+        run_experiment(cfg)
+    assert str(info.value) == message
 
 
 def test_run_selection_needs_projective_line():
