@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SplitFrame, TangentSplit, hermitian_data, norm_sq, psi2, q_form
+from .geometry import TangentSplit, hermitian_data, norm_sq, psi2, q_form
 from .logcomplex import LogComplex
 from .torus import IrrepLabel, Stabilizer, TorusElement, character
 
@@ -27,20 +26,6 @@ _LOG_PI = math.log(math.pi)
 # |sum| below order * this counts as an exact zero of the character
 # average (orthogonality makes the average exactly 0 or a unit phase)
 _CHARACTER_ZERO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LeadingPrediction:
-    """Assembled leading term for one (irrep, k, displacement) choice.
-
-    prefactor carries (k/pi)^{n - g/2} times the amplitude, exponent
-    carries Q + psi2 evaluated on the splits, and value is their
-    product, formed exactly in log arithmetic.
-    """
-
-    prefactor: LogComplex
-    exponent: complex
-    value: LogComplex
 
 
 def a_factor(
@@ -94,56 +79,43 @@ def a_factor_general(
 
 
 def leading_term(
-    pi: IrrepLabel,
     k: int,
     n: int,
-    g: int,
     a: complex,
     split_w: TangentSplit,
     split_v: TangentSplit,
-) -> LeadingPrediction:
+) -> LogComplex:
     """Leading value at displacements w/sqrt(k), v/sqrt(k) from the center.
 
     (k/pi)^{n - g/2} * a * exp(Q(w, v)) * exp(psi2(w_h, v_h)) with n the
-    complex dimension of the base, g the orbit rank, Q the
-    vertical-transverse Gaussian coupling, and psi2 acting on the
-    horizontal components.  a comes from a_factor or a_factor_general.
+    complex dimension of the base, g the rank of the splits' frame, Q
+    the vertical-transverse Gaussian coupling, and psi2 acting on the
+    horizontal components.  a comes from a_factor or a_factor_general;
+    the product is formed exactly in log arithmetic.
     """
     if split_w.frame is not split_v.frame:
         raise ValueError("splits come from different frames")
-    if g != split_w.frame.rank:
-        raise ValueError("rank g does not match the split frame")
     exponent = q_form(split_w, split_v) + psi2(split_w.h_part, split_v.h_part)
-    power = (n - 0.5 * g) * (math.log(k) - _LOG_PI)
+    power = (n - 0.5 * split_w.frame.rank) * (math.log(k) - _LOG_PI)
     if a == 0.0:
-        prefactor = LogComplex.zero()
-        value = LogComplex.zero()
-    else:
-        prefactor = LogComplex(power + math.log(abs(a)), cmath.phase(a))
-        value = LogComplex(prefactor.log_mod + exponent.real, prefactor.phase + exponent.imag)
-    return LeadingPrediction(prefactor=prefactor, exponent=exponent, value=value)
+        return LogComplex.zero()
+    prefactor = LogComplex(power + math.log(abs(a)), cmath.phase(a))
+    return LogComplex(prefactor.log_mod + exponent.real, prefactor.phase + exponent.imag)
 
 
-def gaussian_orbit_integral(
-    frame: SplitFrame,
-    split_w: TangentSplit,
-    split_v: TangentSplit,
-    g: int,
-) -> complex:
+def gaussian_orbit_integral(split_w: TangentSplit, split_v: TangentSplit) -> complex:
     """Closed form of the vertical orbit integral.
 
     With c = v_t + w_t and d = w_v - v_v, the integral of
-    exp(-i omega(s, c) - |s - d|^2 / 2) over the vertical space of the
-    frame equals (2 pi)^{g/2} exp(i omega(c, d) - |c|^2 / 2).  This is
-    the Gaussian that collapses the stabilized directions and produces
-    the Q coupling of the leading term; the 1/(V_eff |G_m|) divisor
-    belongs to a_factor, not here.
+    exp(-i omega(s, c) - |s - d|^2 / 2) over the rank-g vertical space
+    of the splits' frame equals (2 pi)^{g/2} exp(i omega(c, d) - |c|^2 / 2).
+    This is the Gaussian that collapses the stabilized directions and
+    produces the Q coupling of the leading term; the 1/(V_eff |G_m|)
+    divisor belongs to a_factor, not here.
     """
-    if split_w.frame is not frame or split_v.frame is not frame:
+    if split_w.frame is not split_v.frame:
         raise ValueError("splits come from different frames")
-    if g != frame.rank:
-        raise ValueError("rank g does not match the split frame")
     c = split_v.t_part + split_w.t_part
     d = split_w.v_part - split_v.v_part
     coupling = hermitian_data(c, d).omega
-    return (2.0 * math.pi) ** (0.5 * g) * cmath.exp(1j * coupling - 0.5 * norm_sq(c))
+    return (2.0 * math.pi) ** (0.5 * split_w.frame.rank) * cmath.exp(1j * coupling - 0.5 * norm_sq(c))

@@ -30,7 +30,6 @@ import numpy as np
 from .geometry import as_cvec, hermitian_data, norm_sq
 from .torus import (
     ZERO_LEVEL_TOL,
-    Stabilizer,
     TorusElement,
     WeightMatrix,
     fiber_multiplier,
@@ -57,29 +56,19 @@ class BargmannChart:
     eval(w, theta) = (z1 + w, omega0(w, z1) + theta) in the coordinates
     of the trivializing chart; the tangent identification is the
     identity and the underlying preferred frame has log a(w) = |w|^2
-    exactly.  Pass the acting weight matrix to record the stabilizer of
-    z1 (which must then be finite) for the equivariance report.
+    exactly.  The stabilizer of z1 under the acting weight matrix must
+    be finite; it is recorded for the equivariance report.
     """
 
-    model = "affine"
-
-    def __init__(self, z1, weights: WeightMatrix | None = None):
+    def __init__(self, z1, weights: WeightMatrix):
         self.center_base = as_cvec(z1)
         self.n = len(self.center_base)
         self.radius = math.inf
         self.weights = weights
-        if weights is not None:
-            self.stabilizer = stabilizer_of(weights, self.center_base, "affine")
-            self.multipliers = tuple(
-                fiber_multiplier(weights, t, self.center_base) for t in self.stabilizer.elements
-            )
-        else:
-            self.stabilizer = Stabilizer(elements=(TorusElement((0.0,)),), order=1)
-            self.multipliers = (1.0 + 0.0j,)
-
-    @property
-    def center(self):
-        return (self.center_base.copy(), 0.0)
+        self.stabilizer = stabilizer_of(weights, self.center_base, "affine")
+        self.multipliers = tuple(
+            fiber_multiplier(weights, t, self.center_base) for t in self.stabilizer.elements
+        )
 
     def eval(self, w, theta: float = 0.0):
         w = as_cvec(w)
@@ -100,8 +89,6 @@ class BargmannChart:
         return cmath.exp(expo)
 
     def _sigma_pullback(self, t: TorusElement, w: np.ndarray) -> complex:
-        if self.weights is None:
-            return self._sigma_fiber(w)
         phases = self.weights.matrix.T @ np.asarray(t.angles)
         moved = np.exp(-1j * phases) * (self.center_base + w) - self.center_base
         return self._sigma_fiber(moved)
@@ -131,8 +118,6 @@ class P1Chart:
     validity.
     """
 
-    model = "projective"
-
     def __init__(self, x, weights: WeightMatrix):
         x = as_cvec(x)
         if len(x) != 2:
@@ -160,10 +145,6 @@ class P1Chart:
             phases = weights.matrix.T @ np.asarray(t.angles)
             a_t = np.diag(np.exp(1j * phases))
             self._conj_action.append(self.unitary @ a_t @ self.unitary.conj().T)
-
-    @property
-    def center(self):
-        return self.center_base.copy()
 
     def _sigma(self, u: complex) -> np.ndarray:
         """Stabilizer-averaged holomorphic frame in centered coordinates."""
@@ -221,7 +202,7 @@ def _sample_vectors(n: int, r: float):
     return out
 
 
-def bargmann_chart(z1, weights: WeightMatrix | None = None) -> BargmannChart:
+def bargmann_chart(z1, weights: WeightMatrix) -> BargmannChart:
     """Global affine chart centered at z1."""
     return BargmannChart(z1, weights)
 

@@ -200,6 +200,8 @@ def make_config(
         tols.update({k: float(x) for k, x in tolerances.items()})
     if trials is None:
         trials = 60 if experiment == "crosscheck" else 120
+    if int(trials) <= 0:
+        raise ValueError("trials must be positive")
     if g0 is not None:
         g0 = tuple(float(a) for a in g0)
         if len(g0) != weights.g:
@@ -583,7 +585,7 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
                 vec, ang = pw
                 pw = (act_affine(weights, g0, vec), ang + cmath.phase(h0))
         exact = equivariant_kernel_weightsum(weights, irrep, k, pw, pv, model)
-        pred = leading_term(irrep, k, n, frame.rank, amp, sw, sv).value
+        pred = leading_term(k, n, amp, sw, sv)
         rows.append(make_row(k, exact, pred))
         if oracle_k_max is not None and k <= oracle_k_max:
             quad = equivariant_kernel_quadrature(weights, irrep, k, pw, pv, model)
@@ -748,9 +750,8 @@ def _crosscheck_trial(rng, kind):
 def run_crosscheck(config: ExperimentConfig) -> ExperimentReport:
     """Randomized weight-sum vs quadrature agreement matrix."""
     rng = np.random.default_rng(config.seed)
-    trials = max(int(config.trials), 1)
     pattern = ["proj_diag"] * 30 + ["proj_near"] * 10 + ["aff1"] * 12 + ["aff2"] * 8
-    kinds = [pattern[i % len(pattern)] for i in range(trials)]
+    kinds = [pattern[i % len(pattern)] for i in range(config.trials)]
     rows: list[ConvergenceRow] = []
     worst = 0.0
     for kind in kinds:
@@ -765,7 +766,8 @@ def run_crosscheck(config: ExperimentConfig) -> ExperimentReport:
     checks = [
         _check(
             "dual_agreement", worst, "<=", bound,
-            f"max relative discrepancy {worst:.3e} over {trials} configurations (tolerance {bound:.3g})",
+            f"max relative discrepancy {worst:.3e} over {config.trials} configurations "
+            f"(tolerance {bound:.3g})",
         )
     ]
     return ExperimentReport("crosscheck", rows, fits, checks, seed=config.seed)
@@ -778,24 +780,21 @@ def _random_frame(rng, g: int):
     if g == 1:
         row = [int(rng.integers(1, 4)) * (1 if rng.uniform() < 0.5 else -1) for _ in range(2)]
         weights = WeightMatrix((tuple(row),))
-        n = 2
     else:
         a = int(rng.integers(-2, 3))
         b = int(rng.integers(-2, 3))
         weights = WeightMatrix(((1, 0, a), (0, 1, b)))
-        n = 3
-    mod = rng.uniform(0.5, 1.2, n)
-    ph = rng.uniform(-math.pi, math.pi, n)
+    mod = rng.uniform(0.5, 1.2, weights.n_coords)
+    ph = rng.uniform(-math.pi, math.pi, weights.n_coords)
     z = mod * np.exp(1j * ph)
-    frame = build_split_frame(generators_at(weights, z, "affine"))
-    return frame, n
+    return build_split_frame(generators_at(weights, z, "affine"))
 
 
 def _random_displacement(rng, n: int):
     return rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
 
 
-def _orbit_quadrature(frame, sw, sv, nodes, weights) -> complex:
+def _orbit_quadrature(sw, sv, nodes, weights) -> complex:
     """Tensor Gauss-Hermite rule for the integral of gaussian_orbit_integral.
 
     s = d + sqrt(2) x along the orthonormal vertical frame turns
@@ -804,9 +803,9 @@ def _orbit_quadrature(frame, sw, sv, nodes, weights) -> complex:
     """
     c = sv.t_part + sw.t_part
     d = sw.v_part - sv.v_part
-    om = np.array([hermitian_data(e, c).omega for e in frame.on_vertical])
-    dv = np.array([float(np.real(np.vdot(e, d))) for e in frame.on_vertical])
-    g = frame.rank
+    om = np.array([hermitian_data(e, c).omega for e in sw.frame.on_vertical])
+    dv = np.array([float(np.real(np.vdot(e, d))) for e in sw.frame.on_vertical])
+    g = sw.frame.rank
     x = np.array(list(itertools.product(nodes, repeat=g)))
     wx = np.prod(list(itertools.product(weights, repeat=g)), axis=1)
     phase = (dv + math.sqrt(2.0) * x) @ om
@@ -818,21 +817,22 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
 
     Trials split roughly 5:1 between rank-one and rank-two frames, on
     randomized frames and displacements; both ranks use one 80-point
-    tensor Gauss-Hermite oracle.
+    tensor Gauss-Hermite oracle.  A single trial is raised to two so
+    that each rank gets one.
     """
     rng = np.random.default_rng(config.seed)
-    trials = max(int(config.trials), 2)
+    trials = max(config.trials, 2)
     counts = {1: trials - max(trials // 6, 1), 2: max(trials // 6, 1)}
     nodes, weights = np.polynomial.hermite.hermgauss(80)
     rows: list[ConvergenceRow] = []
     worst = {1: 0.0, 2: 0.0}
     for g, count in counts.items():
         for _ in range(count):
-            frame, n = _random_frame(rng, g)
-            sw = split(frame, _random_displacement(rng, n))
-            sv = split(frame, _random_displacement(rng, n))
-            closed = gaussian_orbit_integral(frame, sw, sv, g)
-            oracle = _orbit_quadrature(frame, sw, sv, nodes, weights)
+            frame = _random_frame(rng, g)
+            sw = split(frame, _random_displacement(rng, frame.dim))
+            sv = split(frame, _random_displacement(rng, frame.dim))
+            closed = gaussian_orbit_integral(sw, sv)
+            oracle = _orbit_quadrature(sw, sv, nodes, weights)
             worst[g] = max(worst[g], abs(closed - oracle) / abs(closed))
             exact, pred = LogComplex.from_complex(oracle), LogComplex.from_complex(closed)
             rows.append(make_row(len(rows) + 1, exact, pred))

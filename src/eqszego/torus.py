@@ -31,6 +31,7 @@ from .geometry import as_cvec, norm_sq
 _TWO_PI = 2.0 * math.pi
 _SUPPORT_TOL = 1e-12
 _FIBER_TOL = 1e-10
+_SCALAR_ACTION_TOL = 1e-10
 ZERO_LEVEL_TOL = 1e-10  # max |Phi| accepted as the zero level, by every module
 
 
@@ -144,7 +145,8 @@ def generators_at(W: WeightMatrix, z, model: str) -> list:
     """Infinitesimal action vectors at z, one per torus factor.
 
     Affine: (i W[i,l] z_l)_l.  Projective: the same vector projected
-    orthogonally to C*z after normalizing z to the unit sphere.
+    orthogonally to C*z after normalizing z to the unit sphere; a factor
+    that acts on [z] by a scalar gets the zero vector, not rounding noise.
     """
     if model not in ("affine", "projective"):
         raise ValueError(f"unknown model {model!r}")
@@ -159,7 +161,9 @@ def generators_at(W: WeightMatrix, z, model: str) -> list:
     for i in range(W.g):
         v = 1j * W.matrix[i, :] * z
         if model == "projective":
-            v = v - complex(np.vdot(z, v)) * z
+            u = v - complex(np.vdot(z, v)) * z
+            scalar = norm_sq(u) <= _SCALAR_ACTION_TOL**2 * norm_sq(v)
+            v = np.zeros_like(u) if scalar else u
         gens.append(v)
     return gens
 
@@ -260,12 +264,13 @@ class Stabilizer:
     """Finite stabilizer subgroup, elements sorted by angle vector."""
 
     elements: tuple
-    order: int
 
     def __post_init__(self):
-        if self.order != len(self.elements):
-            raise ValueError("order does not match element count")
         _check_group_axioms(self.elements, self.order)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def _angle_key(t: TorusElement, order: int):
@@ -337,11 +342,8 @@ def stabilizer_of(W: WeightMatrix, z, model: str) -> Stabilizer:
         y = np.array([c / d for c, d in zip(combo, divisors)])
         x = (Vmat @ y) % 1.0
         elements.append(TorusElement(tuple(_TWO_PI * xi for xi in x)))
-    order = 1
-    for d in divisors:
-        order *= d
     elements.sort(key=lambda t: t.angles)
-    return Stabilizer(elements=tuple(elements), order=order)
+    return Stabilizer(elements=tuple(elements))
 
 
 def fiber_multiplier(W: WeightMatrix, t: TorusElement, z) -> complex:

@@ -22,10 +22,8 @@ def _balanced_p1():
 
 def test_bargmann_center_and_eval_zero():
     z1 = np.array([0.4 + 0.1j, -0.3j])
-    ch = bargmann_chart(z1)
-    vec, ang = ch.center
-    np.testing.assert_array_equal(vec, z1)
-    assert ang == 0.0
+    ch = bargmann_chart(z1, P1)
+    np.testing.assert_array_equal(ch.center_base, z1)
     vec, ang = ch.eval(np.zeros(2), 0.0)
     np.testing.assert_array_equal(vec, z1)
     assert ang == 0.0
@@ -34,7 +32,7 @@ def test_bargmann_center_and_eval_zero():
 def test_bargmann_eval_angle_convention():
     # the chart twists the fiber angle by omega(w, z1)
     z1 = np.array([0.5, 0.2 - 0.4j])
-    ch = bargmann_chart(z1)
+    ch = bargmann_chart(z1, P1)
     w = np.array([0.1 + 0.3j, -0.2])
     vec, ang = ch.eval(w, 0.7)
     np.testing.assert_allclose(vec, z1 + w, atol=1e-15)
@@ -43,7 +41,7 @@ def test_bargmann_eval_angle_convention():
 
 def test_p1_center_and_eval_zero():
     ch = _balanced_p1()
-    np.testing.assert_allclose(ch.center, BALANCED, atol=1e-15)
+    np.testing.assert_allclose(ch.center_base, BALANCED, atol=1e-15)
     got = ch.eval(np.array([0.0]), 0.0)
     np.testing.assert_allclose(got, BALANCED, atol=1e-12)
 
@@ -88,7 +86,7 @@ def test_stabilizer_recorded():
 
 
 def test_bargmann_tangent_identity():
-    ch = bargmann_chart(np.array([0.3, 0.4j]))
+    ch = bargmann_chart(np.array([0.3, 0.4j]), P1)
     w = np.array([1.0 - 2.0j, 0.5])
     np.testing.assert_array_equal(ch.chart_to_ambient(w), w)
 
@@ -146,7 +144,7 @@ def test_p1_averaging_fixes_tautological_frame():
 
 
 def test_bargmann_log_a_exact():
-    ch = bargmann_chart(np.array([0.2, 0.5j]))
+    ch = bargmann_chart(np.array([0.2, 0.5j]), P1)
     w = np.array([0.3 - 0.1j, 0.25j])
     assert ch.log_a(w) == pytest.approx(float(np.vdot(w, w).real), abs=1e-15)
 
@@ -165,7 +163,7 @@ def test_p1_log_a_second_order():
 def test_chart_point_at_zero_is_center():
     ch = _balanced_p1()
     np.testing.assert_allclose(chart_point(ch, 5, np.array([0.0])), BALANCED, atol=1e-12)
-    bch = bargmann_chart(np.array([0.1, 0.2]))
+    bch = bargmann_chart(np.array([0.1, 0.2]), P1)
     vec, ang = chart_point(bch, 5, np.zeros(2))
     np.testing.assert_array_equal(vec, bch.center_base)
     assert ang == 0.0
@@ -173,7 +171,7 @@ def test_chart_point_at_zero_is_center():
 
 def test_chart_point_bargmann_formula():
     z1 = np.array([0.3, -0.2 + 0.4j])
-    ch = bargmann_chart(z1)
+    ch = bargmann_chart(z1, P1)
     w = np.array([0.8 - 0.3j, 0.5j])
     k = 7
     vec, ang = chart_point(ch, k, w)
@@ -208,7 +206,7 @@ def test_chart_point_distance_projective():
 
 
 def test_chart_point_distance_affine():
-    ch = bargmann_chart(np.array([0.5, -0.1j]))
+    ch = bargmann_chart(np.array([0.5, -0.1j]), P1)
     w = np.array([0.4, 0.3j])
     for k in (3, 50):
         vec, _ = chart_point(ch, k, w)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from eqszego.geometry import (
     build_split_frame,
@@ -12,6 +14,8 @@ from eqszego.geometry import (
     q_form,
     split,
 )
+from eqszego.torus import generators_at
+from test_torus import BALANCED, P1, torus_cases
 
 
 def _rand_cvec(rng, n):
@@ -163,16 +167,23 @@ def test_split_of_pure_components():
     assert math.sqrt(norm_sq(st.v_part)) < 1e-12
 
 
-def test_split_reconstructs_and_is_orthogonal():
-    rng = np.random.default_rng(4)
-    gen = np.array([-1j, 1j]) / math.sqrt(2.0)
-    frame = build_split_frame([gen])
-    for _ in range(30):
-        w = _rand_cvec(rng, 2)
-        s = split(frame, w)
-        assert math.sqrt(norm_sq(s.total - w)) <= 1e-12 * max(1.0, math.sqrt(norm_sq(w)))
-        for a, b in ((s.v_part, s.h_part), (s.v_part, s.t_part), (s.h_part, s.t_part)):
-            assert abs(hermitian_data(a, b).g) < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(case=torus_cases(), coords=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3, max_size=3))
+@example(case=(P1, BALANCED.astype(complex), "projective"), coords=[0.3 - 1.1j, -0.7 + 0.2j, 0.0])
+def test_split_reconstructs_and_is_orthogonal(case, coords):
+    """On the frames of torus_cases and any vector, the three parts add
+    back up and are pairwise orthogonal."""
+    W, z, model = case
+    try:
+        frame = build_split_frame(generators_at(W, z, model))
+    except ValueError as exc:
+        assert "dependent" in str(exc) or "zero level" in str(exc)
+        reject()
+    w = np.array(coords[: len(z)])
+    s = split(frame, w)
+    assert math.sqrt(norm_sq(s.total - w)) <= 1e-12 * max(1.0, math.sqrt(norm_sq(w)))
+    for a, b in ((s.v_part, s.h_part), (s.v_part, s.t_part), (s.h_part, s.t_part)):
+        assert abs(hermitian_data(a, b).g) < 1e-12
 
 
 def test_split_matches_least_squares_oracle():

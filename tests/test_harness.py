@@ -118,6 +118,18 @@ def test_make_config_rejects_foreign_tolerance():
     assert cfg.tolerances["oracle_k_max"] == 64.0
 
 
+def test_make_config_rejects_non_positive_trials(tmp_path, capsys):
+    # a zero or negative count used to run one configuration and pass
+    for trials in (0, -5):
+        for experiment in ("crosscheck", "gaussian"):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                make_config(experiment, trials=trials)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 0\n")
+    assert cli.main(["crosscheck", "--config", str(cfg)]) == 2
+    assert "error: trials must be positive" in capsys.readouterr().err
+
+
 def test_make_config_rejects_non_unit_h0():
     with pytest.raises(ValueError, match="unit"):
         make_config("translated", h0=0.5 + 0.0j)

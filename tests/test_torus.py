@@ -1,10 +1,13 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from eqszego.geometry import hermitian_data, norm_sq
+from eqszego.geometry import build_split_frame, hermitian_data, norm_sq
 from eqszego.torus import (
     IrrepLabel,
     TorusElement,
@@ -126,6 +129,16 @@ def test_generator_at_fixed_point_vanishes():
     assert math.sqrt(norm_sq(gen)) < 1e-14
 
 
+def test_projective_generator_of_scalar_factor_is_zero():
+    # the second factor acts on [z] by a scalar: its projected vector is
+    # rounding noise (norm ~1e-16), which must not pass for a direction
+    W = WeightMatrix(((0, 0, 1), (1, 0, 1)))
+    gens = generators_at(W, np.array([0.09375 + 1j, 0.0, 1.0]), "projective")
+    assert not gens[1].any()
+    with pytest.raises(ValueError, match="dependent"):
+        build_split_frame(gens)
+
+
 def test_affine_generator_forced_by_definition():
     gen = generators_at(P1, BALANCED, "affine")[0]
     expect = np.array([-1j, 1j]) / math.sqrt(2.0)
@@ -233,39 +246,77 @@ def test_double_weight_stabilizer_is_cyclic_of_order_four():
     assert stab.order == 4
 
 
-def test_stabilizer_brute_force_scan():
-    """Every listed element fixes the point; a scan over roots of unity
-    finds nothing outside the list."""
-    cases = [
-        (P1, BALANCED, "projective"),
-        (WeightMatrix(((-2, 2),)), np.array([0.6, 0.8]), "projective"),
-        (WeightMatrix(((-1, 1),)), np.array([0.5, 0.5]), "affine"),
-        (WeightMatrix(((3,),)), np.array([1.0]), "affine"),
-    ]
-    for W, z, model in cases:
-        z = np.asarray(z, dtype=complex)
+@st.composite
+def torus_cases(draw):
+    """Rank-one or rank-two weights in [-3, 3] on n <= 3 coordinates, a
+    model, and a nonzero point; a vanishing coordinate takes its column
+    out of the support."""
+    g = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=g, max_size=g))
+    coord = st.builds(cmath.rect, st.floats(0.3, 1.2), st.floats(-math.pi, math.pi))
+    z = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    z[list(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))] = 0.0
+    return WeightMatrix(rows), z, draw(st.sampled_from(("affine", "projective")))
+
+
+def _fixed(W, angles, z, model):
+    """Which rows of the (N, g) angle array fix z (affine) or [z] (projective)."""
+    moved = np.exp(1j * (angles @ W.matrix)) * z
+    if model == "projective":
+        moved = moved - np.outer(moved @ z.conj(), z) / norm_sq(z)
+    else:
+        moved = moved - z
+    return np.linalg.norm(moved, axis=1) < 1e-9
+
+
+def _grid_denominator(W, z, model):
+    """|det| of the first nonsingular g x g minor of the constraint rows.
+
+    Every stabilizer angle vector theta = 2 pi x solves M x in Z^g for
+    such a minor M, so x lies in (1/|det M|) Z^g by Cramer's rule.
+    """
+    cols = [W.column(l) for l in range(len(z)) if z[l] != 0]
+    rows = cols if model == "affine" else [c - cols[0] for c in cols[1:]]
+    for minor in itertools.combinations(rows, W.g):
+        det = round(abs(np.linalg.det(np.array(minor, dtype=float))))
+        if det:
+            return det
+    raise AssertionError("finite stabilizer without a nonsingular minor")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=torus_cases())
+@example(case=(P1, BALANCED.astype(complex), "projective"))
+@example(case=(WeightMatrix(((-2, 2),)), np.array([0.6, 0.8], dtype=complex), "projective"))
+@example(case=(P1, np.array([0.5, 0.5], dtype=complex), "affine"))
+@example(case=(WeightMatrix(((3,),)), np.array([1.0 + 0j]), "affine"))
+def test_stabilizer_brute_force_scan(case):
+    """Every listed element fixes the point, the list is a group, and a
+    scan of the grid 2 pi m / Delta finds exactly the listed elements."""
+    W, z, model = case
+    try:
         stab = stabilizer_of(W, z, model)
-        listed = set()
-        for t in stab.elements:
-            moved = act_affine(W, t, z)
-            if model == "projective":
-                # fixes the line: overlap has full modulus
-                assert abs(abs(np.vdot(moved, z)) - norm_sq(z)) < 1e-10
-            else:
-                assert math.sqrt(norm_sq(moved - z)) < 1e-10
-            listed.add(round(t.angles[0] / (2 * math.pi) * 720) % 720)
-        found = set()
-        for N in range(1, 65):
-            for q in range(N):
-                t = TorusElement((2.0 * math.pi * q / N,))
-                moved = act_affine(W, t, z)
-                if model == "projective":
-                    fixed = abs(abs(np.vdot(moved, z)) - norm_sq(z)) < 1e-10
-                else:
-                    fixed = math.sqrt(norm_sq(moved - z)) < 1e-10
-                if fixed:
-                    found.add(round((2.0 * math.pi * q / N) / (2 * math.pi) * 720) % 720)
-        assert found == listed
+    except ValueError as exc:
+        assert "infinite" in str(exc)
+        reject()
+    delta = _grid_denominator(W, z, model)
+    angles = np.array([t.angles for t in stab.elements])
+    assert _fixed(W, angles, z, model).all()
+    scaled = angles * (delta / (2 * math.pi))
+    assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
+
+    def key(t):
+        return tuple(int(m) % delta for m in np.round(np.asarray(t.angles) * (delta / (2 * math.pi))))
+
+    listed = {key(t) for t in stab.elements}
+    assert len(listed) == len(stab.elements)
+    for t in stab.elements:
+        assert key(t.inverse()) in listed
+        assert all(key(t.compose(s)) in listed for s in stab.elements)
+    grid = np.array(list(itertools.product(range(delta), repeat=W.g)))
+    found = {tuple(int(m) for m in row) for row in grid[_fixed(W, grid * (2 * math.pi / delta), z, model)]}
+    assert found == listed
 
 
 def test_stabilizer_infinite_detected():
