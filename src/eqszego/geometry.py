@@ -29,7 +29,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 _DEPENDENCE_TOL = 1e-10
-_IINV_TOL = 1e-10
 
 
 class HermitianData(NamedTuple):
@@ -158,8 +157,8 @@ def build_split_frame(generators: Sequence) -> SplitFrame:
 
     The horizontal basis is the g-orthocomplement of
     span(generators) + span(i*generators), computed by Gram-Schmidt.
-    Errors: dependent generators; failure of the orthocomplement to be
-    i-invariant (which signals the base point is not on the zero level).
+    Errors: dependent generators, or a generator span that meets its
+    i-image.
     """
     gens = tuple(as_cvec(v) for v in generators)
     if not gens:
@@ -182,16 +181,6 @@ def build_split_frame(generators: Sequence) -> SplitFrame:
     horiz = _complete_basis(combined, n)
     if len(horiz) != 2 * (n - g):
         raise RuntimeError("horizontal dimension mismatch")
-
-    # i-invariance of the horizontal space; fails off the zero level.
-    for e in horiz:
-        u = 1.0j * e
-        for b in horiz:
-            u = u - _real_dot(u, b) * b
-        if math.sqrt(norm_sq(u)) > _IINV_TOL:
-            raise ValueError(
-                "horizontal space is not i-invariant; the point is not on the zero level"
-            )
 
     return SplitFrame(
         generators=gens,

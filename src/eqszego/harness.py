@@ -794,22 +794,20 @@ def _random_displacement(rng, n: int):
     return rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
 
 
-def _orbit_quadrature(sw, sv, nodes, weights) -> complex:
+def _orbit_quadrature(sw, sv, x, wx) -> complex:
     """Tensor Gauss-Hermite rule for the integral of gaussian_orbit_integral.
 
     s = d + sqrt(2) x along the orthonormal vertical frame turns
     exp(-|s - d|^2 / 2) into the Hermite weight at a Jacobian of 2^{g/2},
-    leaving the phase exp(-i omega(s, c)) on the rank-g grid of nodes.
+    leaving the phase exp(-i omega(s, c)) on the rank-g tensor grid: node
+    rows x and their weights wx.
     """
     c = sv.t_part + sw.t_part
     d = sw.v_part - sv.v_part
     om = np.array([hermitian_data(e, c).omega for e in sw.frame.on_vertical])
     dv = np.array([float(np.real(np.vdot(e, d))) for e in sw.frame.on_vertical])
-    g = sw.frame.rank
-    x = np.array(list(itertools.product(nodes, repeat=g)))
-    wx = np.prod(list(itertools.product(weights, repeat=g)), axis=1)
     phase = (dv + math.sqrt(2.0) * x) @ om
-    return 2.0 ** (0.5 * g) * complex(np.sum(wx * np.exp(-1j * phase)))
+    return 2.0 ** (0.5 * sw.frame.rank) * complex(np.sum(wx * np.exp(-1j * phase)))
 
 
 def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
@@ -827,12 +825,15 @@ def run_gaussian(config: ExperimentConfig) -> ExperimentReport:
     rows: list[ConvergenceRow] = []
     worst = {1: 0.0, 2: 0.0}
     for g, count in counts.items():
+        # one tensor grid per rank, shared by all its trials
+        x = np.array(list(itertools.product(nodes, repeat=g)))
+        wx = np.prod(list(itertools.product(weights, repeat=g)), axis=1)
         for _ in range(count):
             frame = _random_frame(rng, g)
             sw = split(frame, _random_displacement(rng, frame.dim))
             sv = split(frame, _random_displacement(rng, frame.dim))
             closed = gaussian_orbit_integral(sw, sv)
-            oracle = _orbit_quadrature(sw, sv, nodes, weights)
+            oracle = _orbit_quadrature(sw, sv, x, wx)
             worst[g] = max(worst[g], abs(closed - oracle) / abs(closed))
             exact, pred = LogComplex.from_complex(oracle), LogComplex.from_complex(closed)
             rows.append(make_row(len(rows) + 1, exact, pred))

@@ -16,8 +16,9 @@ group average of the full kernel.  It is computed two independent ways:
     (k+d)!/pi^d, exact.  Affine: c = k a conj(b), every degree up to a
     truncation whose tail is provably below e^-40 of the largest term;
   * quadrature: tensor-product trapezoid rule over the torus at a node
-    count certified by a Cauchy bound on its aliasing, then one
-    confirmation pass at twice the count that must agree to 1e-12
+    count N certified by a Cauchy bound on its aliasing, then one
+    confirmation pass on the same grid shifted by half a step in every
+    angle; the average of the two must agree with the first to 1e-12
     relative.  The quadrature enumerates no lattice points.
 
 Values are LogComplex throughout; k up to ~10^4 stays exact.
@@ -55,9 +56,10 @@ _TAIL_NATS = 40.0
 class QuadratureError(RuntimeError):
     """The quadrature could not certify a value.
 
-    last_two holds the first pass and its confirmation, and n_per_dim
-    their per-dimension node counts.  When the certified count needs more
-    than _NODE_CAP_TOTAL nodes no pass runs: last_two is (None, None) and
+    last_two holds the first pass and its confirmation (the average of
+    the first and the shifted pass), and n_per_dim their per-dimension
+    node counts.  When the certified count needs more than
+    _NODE_CAP_TOTAL nodes no pass runs: last_two is (None, None) and
     n_per_dim holds the count required (None past the largest candidate).
     """
 
@@ -300,9 +302,11 @@ def equivariant_kernel_weightsum(
     return pref * _series_sum(log_mods, phases)
 
 
-def _theta_grid(g: int, n_per_dim: int) -> list:
-    """The g angles of the n_per_dim^g trapezoid nodes, the last one varying fastest."""
+def _theta_grid(g: int, n_per_dim: int, shift: float) -> list:
+    """The g angles 2 pi (j + shift) / n_per_dim of the n_per_dim^g trapezoid
+    nodes, the last one varying fastest."""
     grid = np.indices((n_per_dim,) * g, dtype=float).reshape(g, -1)
+    grid += shift
     grid *= 2.0 * math.pi / n_per_dim
     return list(grid)
 
@@ -370,9 +374,10 @@ def _log_alias_bound(W: WeightMatrix, irrep: IrrepLabel, k: int, cvals, model: s
     return kF0, np.minimum.accumulate(per_sign.min(axis=0).max(axis=0)) + math.log(len(signs))
 
 
-def _quadrature_pass(W, irrep, k, cvals, pref: LogComplex, model: str, n_per_dim: int):
-    """One trapezoid evaluation; returns (value, max node log-modulus)."""
-    thetas = _theta_grid(W.g, n_per_dim)
+def _quadrature_pass(W, irrep, k, cvals, pref: LogComplex, model: str, n_per_dim: int, shift: float = 0.0):
+    """One trapezoid evaluation, its nodes shifted by shift steps in every
+    angle; returns (value, max node log-modulus)."""
+    thetas = _theta_grid(W.g, n_per_dim, shift)
 
     def phase(weights):
         """-weights.theta at every node."""
@@ -418,11 +423,18 @@ def equivariant_kernel_quadrature(
     coefficients (_log_alias_bound) lies below 3e-13 of the Cauchy scale;
     after the pass it must also lie below 1e-13 of the value or 3e-13 of
     the largest node, or N moves straight to the smallest count that
-    does.  One confirmation pass at 2N must then agree to 1e-12 relative
-    (or both sit at the round-off floor of the node scale, which is the
-    selection-rule zero); its value is returned.  Raises QuadratureError
-    at once, before any pass, when (2N)^g passes the 2^20 total node cap,
-    and after the passes when the confirmation disagrees.
+    does.  A confirmation pass on the N^g grid shifted by pi/N in every
+    angle follows, and the average of the two passes is returned.  The
+    average sees only the aliases irrep + jN with j_1 + ... + j_g even, a
+    subset of the first pass's, so the same bound certifies it; it must
+    agree with the first pass to 1e-12 relative (or both sit at the
+    round-off floor of the node scale, which is the selection-rule zero).
+    At rank one the average is the 2N-point rule.  At rank two it is a
+    checkerboard rule, so the check no longer sees the aliases with even
+    j_1 + j_2, such as (1, 1) and (1, -1), and leaves them to the bound alone.
+    Raises QuadratureError at once, before any pass, when (2N)^g passes
+    the 2^20 total node cap, and after the passes when the confirmation
+    disagrees.
     """
     if irrep.g != W.g:
         raise ValueError("irrep label rank does not match weight matrix")
@@ -456,15 +468,16 @@ def equivariant_kernel_quadrature(
             break
         i = certified(target - pref.log_mod)
 
-    cur, scale = _quadrature_pass(W, irrep, k, cvals, pref, model, 2 * n)
+    shifted, scale = _quadrature_pass(W, irrep, k, cvals, pref, model, n, 0.5)
+    cur = log_sum((first, shifted)) * LogComplex(-math.log(2.0), 0.0)
     diff = log_diff_mod(cur, first)
     floor = max(scale, scale_first) + math.log(3e-13)
     if diff <= cur.log_mod + math.log(1e-12) or diff <= floor or diff == NEG_INF:
         return cur
     raise QuadratureError(
-        f"quadrature confirmation at {2 * n}^{g} nodes disagrees with {n}^{g} nodes",
+        f"quadrature confirmation on the half-step shifted {n}^{g} grid disagrees with {n}^{g} nodes",
         (first, cur),
-        (n, 2 * n),
+        (n, n),
     )
 
 

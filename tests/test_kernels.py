@@ -465,6 +465,72 @@ def test_quadrature_rank_two_large_k(W, model, y, k):
     assert _rel(ws, quad) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "W, model, x, pi0",
+    [
+        pytest.param(P1, "projective", np.array([math.sqrt(0.6), math.sqrt(0.4) * 1j]), 2, id="p1"),
+        pytest.param(P1, "projective", BALANCED, 0, id="p1-balanced"),
+        pytest.param(WeightMatrix(((1, -1),)), "affine", (BALANCED * cmath.exp(0.3j), 0.7), 0, id="affine"),
+        pytest.param(WeightMatrix(((1, -1),)), "affine", (np.array([0.8, 0.5j]), 0.0), 3, id="affine-off"),
+    ],
+)
+def test_quadrature_rank_one_average_is_double_rule(monkeypatch, W, model, x, pi0):
+    """At rank one the unshifted and half-step shifted N-rules interleave, so
+    their average is the 2N-point rule."""
+    real_pass = kernels._quadrature_pass
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return real_pass(*args)
+
+    monkeypatch.setattr(kernels, "_quadrature_pass", spy)
+    k, irrep = 30, IrrepLabel((pi0,))
+    quad = equivariant_kernel_quadrature(W, irrep, k, x, x, model)
+    first_args, shifted_args = seen[-2:]
+    n = first_args[6]
+    assert shifted_args[6:] == (n, 0.5)
+    double, _ = real_pass(*first_args[:6], 2 * n)
+    assert _rel(quad, double) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "W, model, k, pi",
+    [
+        pytest.param(W_AFF_R2, "affine", 64, (0, 0), id="affine-k64"),
+        pytest.param(W_AFF_R2, "affine", 256, (1, -1), id="affine-k256"),
+        pytest.param(W_P2_R2, "projective", 150, (0, 0), id="p2-k150"),
+        pytest.param(W_P2_R2, "projective", 256, (2, 1), id="p2-k256"),
+    ],
+)
+def test_quadrature_rank_two_checkerboard_matches_weightsum(W, model, k, pi):
+    """At rank two the returned average is a checkerboard rule; it agrees
+    with the independent weight sum to 1e-12."""
+    ws = equivariant_kernel_weightsum(W, IrrepLabel(pi), k, UNIT3, UNIT3_TILTED, model)
+    quad = equivariant_kernel_quadrature(W, IrrepLabel(pi), k, UNIT3, UNIT3_TILTED, model)
+    assert not ws.is_zero
+    assert _rel(ws, quad) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.floats(0.0, 1.0),
+    phases=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+    k=st.integers(1, 200),
+    j=st.integers(0, 201),
+)
+def test_selection_rule_on_p1(p, phases, k, j):
+    """Parity-mismatched isotypes of P^1 vanish: the weight sum exactly, the
+    quadrature below 1e-12 of the full kernel (its confirmation sits at the
+    round-off floor, since every alias vanishes too)."""
+    pi0 = -k - 1 + 2 * min(j, k + 1)  # k - pi0 is odd
+    z = np.array([math.sqrt(p) * cmath.exp(1j * phases[0]), math.sqrt(1.0 - p) * cmath.exp(1j * phases[1])])
+    irrep = IrrepLabel((pi0,))
+    assert equivariant_kernel_weightsum(P1, irrep, k, z, z, "projective").is_zero
+    quad = equivariant_kernel_quadrature(P1, irrep, k, z, z, "projective")
+    assert quad.log_mod - projective_kernel(k, 1, z, z).log_mod < math.log(1e-12)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -513,26 +579,28 @@ def test_quadrature_fails_fast_past_node_cap(monkeypatch):
 
 
 def test_quadrature_error_carries_both_passes(monkeypatch):
-    """A confirmation that disagrees raises with both passes and their node counts."""
+    """A confirmation that disagrees raises with the first pass, the average
+    with the shifted pass, and their node counts."""
     real_pass = kernels._quadrature_pass
     seen = []
 
-    def drifting_pass(W, irrep, k, cvals, pref, model, n_per_dim):
-        value, scale = real_pass(W, irrep, k, cvals, pref, model, n_per_dim)
-        seen.append(n_per_dim)
-        return value * LogComplex(1e-6 * n_per_dim, 0.0), scale
+    def drifting_pass(W, irrep, k, cvals, pref, model, n_per_dim, shift=0.0):
+        value, scale = real_pass(W, irrep, k, cvals, pref, model, n_per_dim, shift)
+        seen.append((n_per_dim, shift))
+        return value * LogComplex(1e-6 * n_per_dim * (1.0 + 2.0 * shift), 0.0), scale
 
     monkeypatch.setattr(kernels, "_quadrature_pass", drifting_pass)
     x = np.array([math.sqrt(0.6), math.sqrt(0.4)])
     with pytest.raises(QuadratureError, match="disagrees") as info:
         equivariant_kernel_quadrature(P1, IrrepLabel((2,)), 30, x, x, "projective")
     first, confirmation = info.value.last_two
-    n = seen[0]
-    assert seen == [n, 2 * n] and info.value.n_per_dim == (n, 2 * n)
+    n = seen[0][0]
+    assert seen == [(n, 0.0), (n, 0.5)] and info.value.n_per_dim == (n, n)
     assert isinstance(first, LogComplex) and isinstance(confirmation, LogComplex)
     ws = equivariant_kernel_weightsum(P1, IrrepLabel((2,)), 30, x, x, "projective")
     assert first.log_mod - ws.log_mod == pytest.approx(1e-6 * n, abs=1e-12)
-    assert confirmation.log_mod - ws.log_mod == pytest.approx(2e-6 * n, abs=1e-12)
+    average = math.log(0.5 * (math.exp(1e-6 * n) + math.exp(2e-6 * n)))
+    assert confirmation.log_mod - ws.log_mod == pytest.approx(average, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
