@@ -63,7 +63,7 @@ def a_factor_general(
     multipliers = tuple(multipliers)
     if len(multipliers) != stab.order:
         raise ValueError("need one fiber multiplier per stabilizer element")
-    g = len(stab.elements[0].angles)
+    g = len(stab.divisors)
     if v_eff <= 0.0:
         raise ValueError("effective volume must be positive")
     twist = 1.0 + 0.0j

@@ -5,18 +5,16 @@ rho(w, theta) = e^{i theta} a(w)^{-1/2} sigma(w), where sigma is a
 holomorphic frame satisfying the preferred-frame normalizations at the
 center (unit norm, vanishing first covariant derivative, second-order
 jet of log a equal to |w|^2) and w runs over an adapted holomorphic
-coordinate in which the metric is standard at the center.  When the
-center has a finite stabilizer the frame is averaged over it so that
-every stabilizer element pulls sigma back to its fiber multiplier times
-sigma; displacement asymptotics of the equivariant kernels are stated
-in exactly these coordinates.
+coordinate in which the metric is standard at the center.  Every
+element of the center's finite stabilizer pulls sigma back to its fiber
+multiplier times sigma; displacement asymptotics of the equivariant
+kernels are stated in exactly these coordinates.
 
 Two constructions are provided: the global chart of the affine
 (Bargmann) model, whose frame data is exact (log a(w) = |w|^2), and a
 chart on the projective line built by moving the center to (1, 0) with
 a special unitary, taking the tautological frame (1, w) in the affine
-coordinate, averaging over the conjugated stabilizer, and transporting
-back.
+coordinate, and transporting back.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ class BargmannChart:
     eval(w, theta) = (z1 + w, omega0(w, z1) + theta) in the coordinates
     of the trivializing chart; the tangent identification is the
     identity and the underlying preferred frame has log a(w) = |w|^2
-    exactly.  The stabilizer of z1 under the acting weight matrix must
-    be finite; it is recorded for the equivariance report.
+    exactly.  The equivariance report needs the stabilizer of z1 under
+    the acting weight matrix to be finite.
     """
 
     def __init__(self, z1, weights: WeightMatrix):
@@ -65,10 +63,6 @@ class BargmannChart:
         self.n = len(self.center_base)
         self.radius = math.inf
         self.weights = weights
-        self.stabilizer = stabilizer_of(weights, self.center_base, "affine")
-        self.multipliers = tuple(
-            fiber_multiplier(weights, t, self.center_base) for t in self.stabilizer.elements
-        )
 
     def eval(self, w, theta: float = 0.0):
         w = as_cvec(w)
@@ -96,7 +90,8 @@ class BargmannChart:
     def _equivariance_residual(self) -> float:
         worst = 0.0
         samples = _sample_vectors(self.n, 0.3)
-        for t, h in zip(self.stabilizer.elements, self.multipliers):
+        for t in stabilizer_of(self.weights, self.center_base, "affine").elements:
+            h = fiber_multiplier(self.weights, t, self.center_base)
             for w in samples:
                 ref = self._sigma_fiber(w)
                 res = abs(self._sigma_pullback(t, w) - h * ref) / abs(ref)
@@ -111,11 +106,11 @@ class P1Chart:
     (b) in the affine coordinate w of the chart around [1:0] the
     tautological frame is sigma(w) = (1, w) with a(w) = 1 + |w|^2, and
     the coordinate is already adapted for the Fubini-Study metric
-    normalized to vol(P^1) = pi; (c) sigma is averaged over the
-    stabilizer conjugated by U, weighted by inverse fiber multipliers;
-    (d) points and tangent vectors are transported back by U^{-1}.
-    The chart radius 0.5 stays well inside the affine chart's range of
-    validity.
+    normalized to vol(P^1) = pi; (c) points and tangent vectors are
+    transported back by U^{-1}.  Both coordinates of a center are
+    nonzero, so every stabilizer element acts on C^2 as the scalar h_t
+    and sigma is equivariant as it stands.  The chart radius 0.5 stays
+    well inside the affine chart's range of validity.
     """
 
     def __init__(self, x, weights: WeightMatrix):
@@ -128,6 +123,8 @@ class P1Chart:
         phi = moment_map(weights, x, "projective")
         if float(np.max(np.abs(phi))) > ZERO_LEVEL_TOL:
             raise ValueError(f"center is not on the zero level: Phi = {phi}")
+        if min(abs(x)) <= 1e-12:
+            raise ValueError("center has a zero coordinate: its stabilizer is infinite")
         self.center_base = x
         self.weights = weights
         self.n = 1
@@ -135,34 +132,12 @@ class P1Chart:
         self.unitary = np.array(
             [[np.conj(x[0]), np.conj(x[1])], [-x[1], x[0]]], dtype=np.complex128
         )
-        self.stabilizer = stabilizer_of(weights, x, "projective")
-        self.multipliers = tuple(
-            fiber_multiplier(weights, t, x) for t in self.stabilizer.elements
-        )
-        # stabilizer action conjugated into the centered coordinates
-        self._conj_action = []
-        for t in self.stabilizer.elements:
-            phases = weights.matrix.T @ np.asarray(t.angles)
-            a_t = np.diag(np.exp(1j * phases))
-            self._conj_action.append(self.unitary @ a_t @ self.unitary.conj().T)
-
-    def _sigma(self, u: complex) -> np.ndarray:
-        """Stabilizer-averaged holomorphic frame in centered coordinates."""
-        total = np.zeros(2, dtype=np.complex128)
-        for h, mat in zip(self.multipliers, self._conj_action):
-            pre = mat.conj().T @ np.array([1.0, u])  # image under the inverse element
-            if abs(pre[0]) < 1e-12:
-                raise ValueError("chart coordinate left the affine chart under the stabilizer")
-            ut = pre[1] / pre[0]
-            total += (mat @ np.array([1.0, ut])) / h
-        return total / self.stabilizer.order
 
     def eval(self, w, theta: float = 0.0) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         if w.shape != (1,):
             raise ValueError("chart vector must be one-dimensional")
-        u = complex(w[0])
-        s = self._sigma(u)
+        s = np.array([1.0, w[0]])
         s = s / math.sqrt(norm_sq(s))
         return self.unitary.conj().T @ (cmath.exp(1j * theta) * s)
 
@@ -173,23 +148,17 @@ class P1Chart:
 
     def log_a(self, w) -> float:
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
-        return math.log(norm_sq(self._sigma(complex(w[0]))))
+        return math.log(norm_sq(np.array([1.0, w[0]])))
 
     def _equivariance_residual(self) -> float:
+        """Largest |e^{i w_l . theta_t} - h_t|: how far each stabilizer
+        element is from acting on C^2 as its fiber multiplier."""
         worst = 0.0
-        for h, mat in zip(self.multipliers, self._conj_action):
-            for u in _sample_scalars(0.3):
-                ref = self._sigma(u)
-                pre = mat.conj().T @ np.array([1.0, u])
-                ut = pre[1] / pre[0]
-                pulled = mat @ self._sigma(complex(ut))
-                res = np.linalg.norm(pulled - h * ref) / np.linalg.norm(ref)
-                worst = max(worst, float(res))
+        for t in stabilizer_of(self.weights, self.center_base, "projective").elements:
+            h = fiber_multiplier(self.weights, t, self.center_base)
+            phases = self.weights.matrix.T @ np.asarray(t.angles)
+            worst = max(worst, float(np.max(np.abs(np.exp(1j * phases) - h))))
         return worst
-
-
-def _sample_scalars(r: float):
-    return [r * cmath.exp(2j * math.pi * j / 7) for j in range(7)] + [0.1 * r]
 
 
 def _sample_vectors(n: int, r: float):
@@ -208,7 +177,7 @@ def bargmann_chart(z1, weights: WeightMatrix) -> BargmannChart:
 
 
 def p1_chart(x, weights: WeightMatrix) -> P1Chart:
-    """Averaged projective-line chart centered at the unit vector x."""
+    """Projective-line chart centered at the unit vector x."""
     return P1Chart(x, weights)
 
 

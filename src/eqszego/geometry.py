@@ -157,8 +157,8 @@ def build_split_frame(generators: Sequence) -> SplitFrame:
 
     The horizontal basis is the g-orthocomplement of
     span(generators) + span(i*generators), computed by Gram-Schmidt.
-    Errors: dependent generators, or a generator span that meets its
-    i-image.
+    Errors: dependent generators, or generators that do not span an
+    isotropic subspace (their span meets its i-image).
     """
     gens = tuple(as_cvec(v) for v in generators)
     if not gens:
@@ -175,9 +175,7 @@ def build_split_frame(generators: Sequence) -> SplitFrame:
 
     combined, bad = _mgs(list(gens) + [1.0j * v for v in gens])
     if bad is not None:
-        raise ValueError(
-            "generator span meets its i-image; the point is not on the zero level"
-        )
+        raise ValueError("generators do not span an isotropic subspace: their span meets its i-image")
     horiz = _complete_basis(combined, n)
     if len(horiz) != 2 * (n - g):
         raise RuntimeError("horizontal dimension mismatch")

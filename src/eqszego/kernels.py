@@ -433,13 +433,24 @@ def equivariant_kernel_quadrature(
     checkerboard rule, so the check no longer sees the aliases with even
     j_1 + j_2, such as (1, 1) and (1, -1), and leaves them to the bound alone.
     Raises QuadratureError at once, before any pass, when (2N)^g passes
-    the 2^20 total node cap, and after the passes when the confirmation
-    disagrees.
+    the 2^20 total node cap (from rank 6 on even the smallest N does, so
+    it raises before building the bound), and after the passes when the
+    confirmation disagrees.
     """
     if irrep.g != W.g:
         raise ValueError("irrep label rank does not match weight matrix")
     g = W.g
+
+    def check_cap(n: int) -> None:
+        if (2 * n) ** g > _NODE_CAP_TOTAL:
+            raise QuadratureError(
+                f"quadrature needs {n}^{g} nodes and a {2 * n}^{g}-node confirmation; "
+                f"the cap is {_NODE_CAP_TOTAL} nodes",
+                n_per_dim=(n, 2 * n),
+            )
+
     cvals, pref = _integrand(W, k, x, y, model)
+    check_cap(int(_N_CANDIDATES[0]))
     log_scale, log_bound = _log_alias_bound(W, irrep, k, cvals, model)
 
     def certified(target: float) -> int:
@@ -450,13 +461,7 @@ def equivariant_kernel_quadrature(
                 f"quadrature needs more than {_N_CANDIDATES[-1]}^{g} nodes; "
                 f"the cap is {_NODE_CAP_TOTAL} nodes"
             )
-        n = int(_N_CANDIDATES[hits[0]])
-        if (2 * n) ** g > _NODE_CAP_TOTAL:
-            raise QuadratureError(
-                f"quadrature needs {n}^{g} nodes and a {2 * n}^{g}-node confirmation; "
-                f"the cap is {_NODE_CAP_TOTAL} nodes",
-                n_per_dim=(n, 2 * n),
-            )
+        check_cap(int(_N_CANDIDATES[hits[0]]))
         return int(hits[0])
 
     i = certified(log_scale + math.log(3e-13))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 
 import numpy as np
@@ -261,39 +262,33 @@ def smith_normal_form(mat):
 
 @dataclass(frozen=True)
 class Stabilizer:
-    """Finite stabilizer subgroup, elements sorted by angle vector."""
+    """Finite stabilizer subgroup as the integer data of its Smith form.
 
-    elements: tuple
+    divisors are the Smith divisors d_1 | ... | d_g of the constraint
+    lattice and basis the unimodular g x g matrix V of its Smith form.
+    The group is the image of Z/d_1 x ... x Z/d_g under y -> 2*pi*V y
+    (mod 2*pi), y_i in {0, 1/d_i, ..., (d_i-1)/d_i}, which is injective,
+    so the order is d_1...d_g and the group axioms hold by construction.
+    """
 
-    def __post_init__(self):
-        _check_group_axioms(self.elements, self.order)
+    divisors: tuple
+    basis: tuple
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(self.divisors)
 
-
-def _angle_key(t: TorusElement, order: int):
-    key = []
-    for a in t.angles:
-        q = int(round((a / _TWO_PI) * order)) % order
-        key.append(q)
-    return tuple(key)
-
-
-def _check_group_axioms(elements, order):
-    keys = {_angle_key(t, order) for t in elements}
-    if len(keys) != order:
-        raise ValueError("stabilizer elements are not distinct")
-    if _angle_key(TorusElement.identity(elements[0].g), order) not in keys:
-        raise ValueError("stabilizer lacks the identity")
-    for t in elements:
-        if _angle_key(t.inverse(), order) not in keys:
-            raise ValueError("stabilizer not closed under inverse")
-    for t in elements:
-        for s in elements:
-            if _angle_key(t.compose(s), order) not in keys:
-                raise ValueError("stabilizer not closed under composition")
+    @cached_property
+    def elements(self) -> tuple:
+        """Every element, sorted by angle vector; listed on first use."""
+        Vmat = np.asarray(self.basis, dtype=float)
+        elements = []
+        for combo in _iproduct(*(range(d) for d in self.divisors)):
+            y = np.array([c / d for c, d in zip(combo, self.divisors)])
+            x = (Vmat @ y) % 1.0
+            elements.append(TorusElement(tuple(_TWO_PI * xi for xi in x)))
+        elements.sort(key=lambda t: t.angles)
+        return tuple(elements)
 
 
 def _support(z: np.ndarray):
@@ -301,7 +296,7 @@ def _support(z: np.ndarray):
 
 
 def stabilizer_of(W: WeightMatrix, z, model: str) -> Stabilizer:
-    """All torus elements fixing z (affine) or [z] (projective).
+    """The finite group of torus elements fixing z (affine) or [z] (projective).
 
     Writing theta = 2*pi*x, the fixing condition is B x in Z^s for an
     integer matrix B: the supported weight columns in the affine model,
@@ -334,16 +329,7 @@ def stabilizer_of(W: WeightMatrix, z, model: str) -> Stabilizer:
         raise ValueError(
             f"stabilizer is infinite: constraint lattice has rank {rank} < {g}"
         )
-    divisors = divisors[:g]
-    Vmat = np.asarray(V, dtype=float)
-
-    elements = []
-    for combo in _iproduct(*(range(d) for d in divisors)):
-        y = np.array([c / d for c, d in zip(combo, divisors)])
-        x = (Vmat @ y) % 1.0
-        elements.append(TorusElement(tuple(_TWO_PI * xi for xi in x)))
-    elements.sort(key=lambda t: t.angles)
-    return Stabilizer(elements=tuple(elements))
+    return Stabilizer(divisors=tuple(divisors), basis=tuple(tuple(row) for row in V))
 
 
 def fiber_multiplier(W: WeightMatrix, t: TorusElement, z) -> complex:

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqszego.charts import bargmann_chart, chart_point, p1_chart, verify_frame
 from eqszego.geometry import hermitian_data
-from eqszego.torus import WeightMatrix
+from eqszego.torus import WeightMatrix, act_affine, fiber_multiplier, stabilizer_of
 
 P1 = WeightMatrix(((-1, 1),))
 M22 = WeightMatrix(((-2, 2),))
@@ -75,11 +77,16 @@ def test_p1_rejects_non_unit_center():
         p1_chart(np.array([1.0, 1.0]), P1)
 
 
-def test_stabilizer_recorded():
-    ch = _balanced_p1()
-    assert ch.stabilizer.order == 2
-    assert p1_chart(BALANCED, M22).stabilizer.order == 4
-    assert bargmann_chart(BALANCED.astype(complex), P1).stabilizer.order == 1
+def test_p1_rejects_center_with_zero_coordinate():
+    # [1:0] is on the zero level of (0, 1), but the whole circle fixes it
+    with pytest.raises(ValueError, match="zero coordinate"):
+        p1_chart(np.array([1.0, 0.0]), WeightMatrix(((0, 1),)))
+
+
+def test_chart_center_stabilizer_orders():
+    assert stabilizer_of(P1, BALANCED, "projective").order == 2
+    assert stabilizer_of(M22, BALANCED, "projective").order == 4
+    assert stabilizer_of(P1, BALANCED.astype(complex), "affine").order == 1
 
 
 # -- tangent identification ---------------------------------------------------
@@ -135,12 +142,29 @@ def test_p1_frame_report_double_weights():
     assert rep.equivariance_residual < 1e-10
 
 
-def test_p1_averaging_fixes_tautological_frame():
-    # at a balanced center every stabilizer element acts by a scalar, so
-    # averaging leaves (1, u) untouched; the identity is exact
-    ch = _balanced_p1()
-    for u in (0.0, 0.2, -0.1 + 0.3j):
-        np.testing.assert_allclose(ch._sigma(u), np.array([1.0, u]), atol=1e-14)
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(1, 6),
+    b=st.integers(1, 6),
+    swap=st.booleans(),
+    phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+def test_p1_stabilizer_acts_by_fiber_multiplier(a, b, swap, phases):
+    """Both coordinates of a zero-level center are nonzero, so every
+    stabilizer element acts on C^2 as the scalar h_t: the frame (1, u)
+    is equivariant without an average over the stabilizer."""
+    w0, w1 = (b, -a) if swap else (-a, b)
+    W = WeightMatrix(((w0, w1),))
+    x = np.array([
+        math.sqrt(w1 / (w1 - w0)) * cmath.exp(1j * phases[0]),
+        math.sqrt(w0 / (w0 - w1)) * cmath.exp(1j * phases[1]),
+    ])
+    ch = p1_chart(x, W)
+    for t in stabilizer_of(W, x, "projective").elements:
+        h = fiber_multiplier(W, t, x)
+        for v in np.eye(2):
+            assert np.max(np.abs(act_affine(W, t, v) - h * v)) < 1e-12
+    assert ch._equivariance_residual() < 1e-12
 
 
 def test_bargmann_log_a_exact():

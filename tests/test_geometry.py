@@ -177,7 +177,7 @@ def test_split_reconstructs_and_is_orthogonal(case, coords):
     try:
         frame = build_split_frame(generators_at(W, z, model))
     except ValueError as exc:
-        assert "dependent" in str(exc) or "zero level" in str(exc)
+        assert "dependent" in str(exc) or "isotropic" in str(exc)
         reject()
     w = np.array(coords[: len(z)])
     s = split(frame, w)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,30 @@ def test_run_offdiagonal_rank_two_affine_sweep():
     rep = run_experiment(cfg)
     assert [r.k for r in rep.rows] == list(ks)
     assert rep.checks and all(c.passed for c in rep.checks), rep.summary_lines()
+
+
+def test_large_weights_run_as_fast_as_unit_weights():
+    """A stabilizer of order 2,000 or 3,600 is integer data: the run lists
+    its elements once and checks no group axiom.  The covering mW has the
+    rows of W, up to the float character average."""
+    k_affine = tuple(16 * 2**j for j in range(6))
+    cases = [
+        ({"experiment": "diagonal", "model": "projective"}, ((-1000, 1000),), ((-1, 1),)),
+        ({"experiment": "offdiagonal", "model": "projective"}, ((-1000, 1000),), ((-1, 1),)),
+        (
+            {"experiment": "diagonal", "model": "affine", "k_schedule": k_affine},
+            ((60, 0, -60), (0, 60, -60)),
+            ((1, 0, -1), (0, 1, -1)),
+        ),
+    ]
+    t0 = time.perf_counter()
+    reports = [(run_experiment(make_config(**kw, weights=big)), kw, unit) for kw, big, unit in cases]
+    assert time.perf_counter() - t0 < 1.0
+    for rep, kw, unit in reports:
+        assert rep.checks and rep.passed, rep.summary_lines()
+        ref = run_experiment(make_config(**kw, weights=unit))
+        assert [r.k for r in rep.rows] == [r.k for r in ref.rows]
+        assert max(abs(r.ratio - q.ratio) for r, q in zip(rep.rows, ref.rows)) < 1e-8
 
 
 def test_run_translated_guards():

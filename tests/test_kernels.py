@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import time
+import tracemalloc
 from math import factorial, lgamma
 
 import numpy as np
@@ -578,6 +579,22 @@ def test_quadrature_fails_fast_past_node_cap(monkeypatch):
     assert info.value.n_per_dim == (8192, 16384)
 
 
+def test_quadrature_refuses_rank_seven_before_its_bound():
+    """No rank past 5 fits the smallest count's 16^g confirmation under the
+    cap, so P^7 raises before the 3^7 - 1 sign patterns of the bound are built."""
+    W = WeightMatrix(np.hstack([np.eye(7, dtype=int), -np.ones((7, 1), dtype=int)]))
+    x = np.full(8, 1.0 / math.sqrt(8.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"needs 8\^7 nodes .* cap is 1048576") as info:
+            equivariant_kernel_quadrature(W, IrrepLabel((0,) * 7), 4, x, x, "projective")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.n_per_dim == (8, 16)
+    assert peak < 2**20
+
+
 def test_quadrature_error_carries_both_passes(monkeypatch):
     """A confirmation that disagrees raises with the first pass, the average
     with the shifted pass, and their node counts."""
@@ -668,3 +685,67 @@ def test_quadrature_deterministic():
     a = equivariant_kernel_quadrature(P1, pi, 30, x, x, "projective")
     b = equivariant_kernel_quadrature(P1, pi, 30, x, x, "projective")
     assert a.log_mod == b.log_mod and a.phase == b.phase
+
+
+# -- far from the occupation mode (known defects 3 and 4) -----------------
+
+
+HALF = np.array([0.5, 0.5])
+DECAY_POINT = np.array([math.sqrt(0.9), math.sqrt(0.1)])
+
+
+def _affine_bessel(k: int, nu: int) -> LogComplex:
+    """Affine (-1, 1) isotype nu at a = b = (1/2, 1/2): (k/pi)^2 e^{-k/2} I_nu(k/2),
+    with I_nu(x) = sum_j (x/2)^{2j+nu} / (j! (j+nu)!) summed in the log domain."""
+    x, nu = 0.5 * k, abs(nu)
+    terms = [(2 * j + nu) * math.log(0.5 * x) - lgamma(j + 1) - lgamma(j + nu + 1) for j in range(int(2 * x) + 60)]
+    return LogComplex(2.0 * math.log(k / math.pi) - x + float(np.logaddexp.reduce(terms)), 0.0)
+
+
+def _p1_decay_isotype(k: int) -> LogComplex:
+    """P^1 irrep 0 on the diagonal at DECAY_POINT: ((k+1)/pi) C(k, k/2) 0.09^{k/2}."""
+    h = k // 2
+    return LogComplex(math.log((k + 1) / math.pi) + lgamma(k + 1) - 2 * lgamma(h + 1) + h * math.log(0.09), 0.0)
+
+
+def test_closed_forms_near_the_occupation_mode():
+    """Both methods meet the two closed forms where neither defect reaches,
+    and the projective weight sum meets its closed form at defect 3's point."""
+    for k, nu in ((16, 2), (256, 4)):
+        ref = _affine_bessel(k, nu)
+        for method in (equivariant_kernel_weightsum, equivariant_kernel_quadrature):
+            assert _rel(method(P1, IrrepLabel((nu,)), k, HALF, HALF, "affine"), ref) < 1e-10
+    ws = equivariant_kernel_weightsum(P1, IrrepLabel((0,)), 250, DECAY_POINT, DECAY_POINT, "projective")
+    assert _rel(ws, _p1_decay_isotype(250)) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect 4: the affine weight sum stops after one more degree and "
+    "is 2.7e-2 off at (16, 62), 0.97 at (256, 276) and an exact zero at (1, 32)",
+)
+@pytest.mark.parametrize("k, nu", [(16, 62), (256, 276), (1, 32)])
+def test_affine_weightsum_far_isotype(k, nu):
+    ws = equivariant_kernel_weightsum(P1, IrrepLabel((nu,)), k, HALF, HALF, "affine")
+    assert _rel(ws, _affine_bessel(k, nu)) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect 3: both passes return round-off of the node scale and agree; 1.2e91 off",
+)
+def test_affine_quadrature_far_isotype():
+    quad = equivariant_kernel_quadrature(P1, IrrepLabel((276,)), 256, HALF, HALF, "affine")
+    assert _rel(quad, _affine_bessel(256, 276)) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect 3: both passes return round-off of the node scale and agree; 2.2e41 off",
+)
+def test_p1_quadrature_far_from_mode():
+    quad = equivariant_kernel_quadrature(P1, IrrepLabel((0,)), 250, DECAY_POINT, DECAY_POINT, "projective")
+    assert _rel(quad, _p1_decay_isotype(250)) < 1e-10

@@ -310,6 +310,7 @@ def test_stabilizer_brute_force_scan(case):
         return tuple(int(m) % delta for m in np.round(np.asarray(t.angles) * (delta / (2 * math.pi))))
 
     listed = {key(t) for t in stab.elements}
+    assert stab.order == len(stab.elements)
     assert len(listed) == len(stab.elements)
     for t in stab.elements:
         assert key(t.inverse()) in listed
