@@ -3,11 +3,11 @@
 The exact kernels concentrate along the orbit of the center point; in
 adapted chart coordinates, displacing both arguments by 1/sqrt(k)
 yields a universal limit shape: a power of k/pi, an amplitude built
-from a character sum over the finite stabilizer, a Gaussian coupling of
-the vertical and transverse displacement components, and the standard
-Bargmann off-diagonal factor in the horizontal components.  This module
-evaluates that prediction so convergence experiments can divide exact
-kernel values by it.
+from the stabilizer's character average (exactly 1 or 0), a Gaussian
+coupling of the vertical and transverse displacement components, and
+the standard Bargmann off-diagonal factor in the horizontal components.
+This module evaluates that prediction so convergence experiments can
+divide exact kernel values by it.
 """
 
 from __future__ import annotations
@@ -15,40 +15,28 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .geometry import TangentSplit, hermitian_data, norm_sq, psi2, q_form
 from .logcomplex import LogComplex
 from .torus import IrrepLabel, Stabilizer, TorusElement, character
 
 _LOG_PI = math.log(math.pi)
 
-# |sum| below order * this counts as an exact zero of the character
-# average (orthogonality makes the average exactly 0 or a unit phase)
-_CHARACTER_ZERO_TOL = 1e-12
 
-
-def a_factor(
-    pi: IrrepLabel,
-    k: int,
-    stab: Stabilizer,
-    multipliers,
-    v_eff: float,
-) -> complex:
+def a_factor(pi: IrrepLabel, k: int, stab: Stabilizer, v_eff: float) -> complex:
     """Amplitude 2^{g/2} / V_eff times the stabilizer character average.
 
     The average of chi_pi(t) h_t^k over the finite stabilizer is 1 when
-    the weight-k twisted character is trivial and 0 otherwise; the zero
-    case is the leading-order shadow of the selection rule.
+    the weight-k twisted character is trivial and 0 otherwise, which
+    stab.carries decides in integers; the zero case is the leading-order
+    shadow of the selection rule.
     """
-    return a_factor_general(pi, k, stab, multipliers, v_eff, None, 1.0 + 0.0j)
+    return a_factor_general(pi, k, stab, v_eff, None, 1.0 + 0.0j)
 
 
 def a_factor_general(
     pi: IrrepLabel,
     k: int,
     stab: Stabilizer,
-    multipliers,
     v_eff: float,
     g0: TorusElement | None,
     h0: complex,
@@ -60,22 +48,14 @@ def a_factor_general(
     chi_pi(g0^{-1}) h0^k, so the average runs over chi_pi(t g0^{-1})
     (h0 h_t)^k instead.  g0 = None means no translation.
     """
-    multipliers = tuple(multipliers)
-    if len(multipliers) != stab.order:
-        raise ValueError("need one fiber multiplier per stabilizer element")
-    g = len(stab.divisors)
     if v_eff <= 0.0:
         raise ValueError("effective volume must be positive")
+    if not stab.carries(pi, k):
+        return 0.0 + 0.0j
     twist = 1.0 + 0.0j
     if g0 is not None:
-        twist = np.conj(character(pi, g0)) * complex(h0) ** k
-    acc = 0.0 + 0.0j
-    for t, h in zip(stab.elements, multipliers):
-        acc += character(pi, t) * complex(h) ** k
-    avg = twist * acc / stab.order
-    if abs(avg) < _CHARACTER_ZERO_TOL:
-        avg = 0.0 + 0.0j
-    return (2.0 ** (0.5 * g) / v_eff) * avg
+        twist = character(pi, g0).conjugate() * complex(h0) ** k
+    return (2.0 ** (0.5 * len(stab.divisors)) / v_eff) * twist
 
 
 def leading_term(

@@ -6,8 +6,8 @@ kernel by the leading term (k/pi)^{n - g/2} A exp(Q) exp(psi2), where A
 is the stabilizer character average.  Diagonal evaluates at the center;
 the other two evaluate at chart displacements w/sqrt(k), v/sqrt(k), and
 translated first moves the first argument by a stabilizer element g0 and
-a unit fiber rotation h0, which twists A.  Levels where A vanishes
-(parity mismatches) are skipped, levels up to tol_oracle_k_max are
+a unit fiber rotation h0, which twists A.  Levels the stabilizer does not
+carry (A = 0 exactly) are skipped, levels up to tol_oracle_k_max are
 recomputed by quadrature as an independent cross-check, and the log-log
 rate of |ratio - 1| is fitted over the upper half of the surviving
 schedule.  Decay, selection, crosscheck, gaussian and phase have their
@@ -73,7 +73,6 @@ from .torus import (
     WeightMatrix,
     act_affine,
     effective_volume,
-    fiber_multiplier,
     generators_at,
     moment_map,
     stabilizer_of,
@@ -107,15 +106,17 @@ class ExperimentConfig:
 
 
 def _parity_adjusted(base, irrep: IrrepLabel, model: str, weights: WeightMatrix):
-    """Shift default levels to the parity the irrep can occupy.
+    """Move each default level k up to the first carrying one below k + order.
 
-    Only meaningful for the projective line with a rank-one action,
-    where level k carries exactly the irreps of k's parity.
+    Only on the projective line at rank one, where the stabilizer of a
+    point with both coordinates nonzero decides which levels can carry
+    the irrep (k = irrep mod 2 on weights -1 1); if none can, k stays.
     """
     if model != "projective" or weights.g != 1 or weights.n_coords != 2:
         return tuple(base)
-    pi0 = irrep.weights[0]
-    return tuple(k + 1 if (k - pi0) % 2 != 0 else k for k in base)
+    stab = stabilizer_of(weights, np.ones(2), "projective")
+    first = (next((j for j in range(k, k + stab.order) if stab.carries(irrep, j)), k) for k in base)
+    return tuple(first)
 
 
 def _default_point(experiment: str, weights: WeightMatrix):
@@ -545,7 +546,6 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
     weights, model, irrep, tols = config.weights, config.model, config.irrep, config.tolerances
     z = _point_vector(config)
     stab = stabilizer_of(weights, z, model)
-    mult = tuple(fiber_multiplier(weights, t, z) for t in stab.elements)
     v_eff = effective_volume(weights, z, model)
     frame = build_split_frame(generators_at(weights, z, model))
     n = len(z) if model == "affine" else len(z) - 1
@@ -572,7 +572,7 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
     oracle_k_max = tols.get("oracle_k_max")
     oracle_max = None
     for k in config.k_schedule:
-        amp = a_factor_general(irrep, k, stab, mult, v_eff, g0, h0)
+        amp = a_factor_general(irrep, k, stab, v_eff, g0, h0)
         if amp == 0.0:
             continue
         if not diagonal:
@@ -613,9 +613,9 @@ def _run_scaling(config: ExperimentConfig) -> ExperimentReport:
 def run_decay(config: ExperimentConfig) -> ExperimentReport:
     """Exponential decay of the diagonal kernel off the zero level.
 
-    Fits log |kernel| against k; the fitted rate c must be positive,
-    and on the projective line it is compared with the dominant-term
-    rate -log(4 p (1-p)) / 2 derived from the point's moduli.
+    Fits log |kernel| against k; the fitted rate c must be positive.  On P^1
+    it is compared with the dominant-term rate: the relative entropy of the
+    zero level's share q = w_1 / (w_1 - w_0) of j_0 in k against p = |z_0|^2.
     """
     _check_point_precondition(config)
     z = _point_vector(config)
@@ -637,7 +637,11 @@ def run_decay(config: ExperimentConfig) -> ExperimentReport:
     checks = [_check("positive_rate", rate, ">", 0.0, f"fitted rate {rate:.6g} must be positive")]
     if config.model == "projective" and len(z) == 2:
         p = abs(z[0]) ** 2
-        expected = -0.5 * math.log(4.0 * p * (1.0 - p))
+        w0, w1 = config.weights.matrix[0].tolist()
+        q = w1 / (w1 - w0)
+        if not 0 <= q <= 1:
+            raise ValueError("the decay rate needs P^1 weights of opposite sign or a zero weight")
+        expected = sum(a * math.log(a / b) for a, b in ((q, p), (1 - q, 1 - p)) if a != 0)
         fits["expected_rate"] = expected
         rel = abs(rate - expected) / abs(expected)
         bound = config.tolerances["rate_rel"]
@@ -654,18 +658,19 @@ def run_decay(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_selection(config: ExperimentConfig) -> ExperimentReport:
-    """Vanishing of parity-mismatched isotypes on the projective line.
+    """Vanishing of isotypes on the projective line at mismatched levels.
 
-    The weight sum must vanish identically; the quadrature kernel must
-    vanish relative to the full kernel at the same arguments, which is
-    the honest reading of a zero target for a numerical integral.  Rows
-    record quadrature leakage against the full kernel.
+    Mismatched levels are those the stabilizer of a point with both
+    coordinates nonzero does not carry (parity on weights -1 1).  The
+    weight sum must vanish there identically and the quadrature relative
+    to the full kernel, the honest reading of a zero target for a
+    numerical integral.  Rows record quadrature leakage against it.
     """
     if config.model != "projective" or config.weights.g != 1 or config.weights.n_coords != 2:
         raise ValueError("the selection experiment is defined on the projective line")
     z = _point_vector(config)
-    pi0 = config.irrep.weights[0]
-    mismatched = [k for k in config.k_schedule if (k - pi0) % 2 != 0]
+    stab = stabilizer_of(config.weights, np.ones(2), "projective")
+    mismatched = [k for k in config.k_schedule if not stab.carries(config.irrep, k)]
     if not mismatched:
         raise ValueError("schedule contains no parity-mismatched levels")
     rows: list[ConvergenceRow] = []

@@ -265,29 +265,44 @@ class Stabilizer:
     """Finite stabilizer subgroup as the integer data of its Smith form.
 
     divisors are the Smith divisors d_1 | ... | d_g of the constraint
-    lattice and basis the unimodular g x g matrix V of its Smith form.
-    The group is the image of Z/d_1 x ... x Z/d_g under y -> 2*pi*V y
-    (mod 2*pi), y_i in {0, 1/d_i, ..., (d_i-1)/d_i}, which is injective,
-    so the order is d_1...d_g and the group axioms hold by construction.
+    lattice, basis the unimodular g x g matrix V of its Smith form and
+    fiber_weight the weight column of the first supported coordinate, so
+    t = 2*pi*x has fiber multiplier exp(2*pi*i <fiber_weight, x>).  The
+    group is the image of Z/d_1 x ... x Z/d_g under y -> 2*pi*V y (mod
+    2*pi), y_i in {0, 1/d_i, ..., (d_i-1)/d_i}, which is injective, so
+    the order is d_1...d_g and the group axioms hold by construction.
     """
 
     divisors: tuple
     basis: tuple
+    fiber_weight: tuple
 
     @property
     def order(self) -> int:
         return math.prod(self.divisors)
 
+    def carries(self, irrep: IrrepLabel, k: int) -> bool:
+        """Whether chi_irrep(t) h_t^k is trivial on the group (average 1, else 0).
+
+        The term at t = 2*pi*V y is exp(2*pi*i <mu V, y>), mu = irrep +
+        k * fiber_weight (a constraint row when affine, so k drops out):
+        it is trivial iff every (mu V)_i is a multiple of d_i.
+        """
+        if irrep.g != len(self.fiber_weight):
+            raise ValueError("rank mismatch between irrep label and stabilizer")
+        mu = [p + k * f for p, f in zip(irrep.weights, self.fiber_weight)]
+        cols = zip(zip(*self.basis), self.divisors)
+        return all(sum(m * v for m, v in zip(mu, col)) % d == 0 for col, d in cols)
+
     @cached_property
     def elements(self) -> tuple:
-        """Every element, sorted by angle vector; listed on first use."""
+        """Every element, listed on first use."""
         Vmat = np.asarray(self.basis, dtype=float)
         elements = []
         for combo in _iproduct(*(range(d) for d in self.divisors)):
             y = np.array([c / d for c, d in zip(combo, self.divisors)])
             x = (Vmat @ y) % 1.0
             elements.append(TorusElement(tuple(_TWO_PI * xi for xi in x)))
-        elements.sort(key=lambda t: t.angles)
         return tuple(elements)
 
 
@@ -311,10 +326,10 @@ def stabilizer_of(W: WeightMatrix, z, model: str) -> Stabilizer:
     support = _support(z)
     if not support:
         raise ValueError("point is zero; stabilizer is the whole torus")
+    base = W.column(support[0])
     if model == "affine":
         rows = [W.column(l) for l in support]
     elif model == "projective":
-        base = W.column(support[0])
         rows = [W.column(l) - base for l in support[1:]]
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -329,7 +344,7 @@ def stabilizer_of(W: WeightMatrix, z, model: str) -> Stabilizer:
         raise ValueError(
             f"stabilizer is infinite: constraint lattice has rank {rank} < {g}"
         )
-    return Stabilizer(divisors=tuple(divisors), basis=tuple(tuple(row) for row in V))
+    return Stabilizer(tuple(divisors), tuple(map(tuple, V)), tuple(int(w) for w in base))
 
 
 def fiber_multiplier(W: WeightMatrix, t: TorusElement, z) -> complex:

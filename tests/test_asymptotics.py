@@ -21,7 +21,6 @@ from eqszego.torus import (
     WeightMatrix,
     character,
     effective_volume,
-    fiber_multiplier,
     generators_at,
     stabilizer_of,
 )
@@ -32,10 +31,7 @@ BALANCED = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 def _center_data(weights, x, model):
-    stab = stabilizer_of(weights, x, model)
-    mult = tuple(fiber_multiplier(weights, t, x) for t in stab.elements)
-    v_eff = effective_volume(weights, x, model)
-    return stab, mult, v_eff
+    return stabilizer_of(weights, x, model), effective_volume(weights, x, model)
 
 
 def _affine_frame(weights=P1, x=None):
@@ -48,10 +44,10 @@ def _affine_frame(weights=P1, x=None):
 
 
 def test_a_factor_balanced_parity():
-    stab, mult, v_eff = _center_data(P1, BALANCED, "projective")
+    stab, v_eff = _center_data(P1, BALANCED, "projective")
     for k in (1, 2, 7, 100):
         for pi0 in (-2, -1, 0, 1, 2, 5):
-            a = a_factor(IrrepLabel((pi0,)), k, stab, mult, v_eff)
+            a = a_factor(IrrepLabel((pi0,)), k, stab, v_eff)
             if (pi0 + k) % 2 == 0:
                 assert a == pytest.approx(math.sqrt(2.0) / math.pi, rel=1e-12)
             else:
@@ -61,11 +57,11 @@ def test_a_factor_balanced_parity():
 def test_a_factor_double_weight_dichotomy():
     """Order-4 stabilizer: the character average is exactly 0 or 1, and it
     is nonzero precisely when weight-k monomials carrying the irrep exist."""
-    stab, mult, v_eff = _center_data(M22, BALANCED, "projective")
+    stab, v_eff = _center_data(M22, BALANCED, "projective")
     bound = 2.0 ** 0.5 / v_eff
     for k in range(1, 9):
         for pi0 in range(-2 * k, 2 * k + 1):
-            a = a_factor(IrrepLabel((pi0,)), k, stab, mult, v_eff)
+            a = a_factor(IrrepLabel((pi0,)), k, stab, v_eff)
             occurs = bool(enumerate_indices(1, k, constraint=(M22, IrrepLabel((pi0,)))))
             if occurs:
                 assert abs(a) == pytest.approx(bound, rel=1e-12)
@@ -73,40 +69,50 @@ def test_a_factor_double_weight_dichotomy():
                 assert a == 0.0
 
 
+def test_a_factor_exact_zero_off_carrying_levels():
+    """On weights -1 2 only levels divisible by 3 carry irrep 0; a float
+    character average left 5e-13 to 2e-12 at these levels."""
+    x = np.array([math.sqrt(2 / 3), math.sqrt(1 / 3)])
+    stab, v_eff = _center_data(WeightMatrix(((-1, 2),)), x, "projective")
+    for k in (6400, 6401, 20000):
+        assert a_factor(IrrepLabel((0,)), k, stab, v_eff) == 0.0
+    assert a_factor(IrrepLabel((0,)), 6402, stab, v_eff) == pytest.approx(2.0**0.5 / v_eff, rel=1e-15)
+
+
 def test_a_factor_trivial_stabilizer():
     r = math.sqrt(0.26)
     x = np.array([0.5 + 0.1j, r * cmath.exp(0.7j)])
-    stab, mult, v_eff = _center_data(P1, x, "affine")
+    stab, v_eff = _center_data(P1, x, "affine")
     assert stab.order == 1
-    a = a_factor(IrrepLabel((3,)), 11, stab, mult, v_eff)
+    a = a_factor(IrrepLabel((3,)), 11, stab, v_eff)
     assert a == pytest.approx(math.sqrt(2.0) / v_eff, rel=1e-12)
 
 
 def test_a_factor_general_twist_identity():
-    stab, mult, v_eff = _center_data(P1, BALANCED, "projective")
+    stab, v_eff = _center_data(P1, BALANCED, "projective")
     pi = IrrepLabel((2,))
     k = 6
-    base = a_factor(pi, k, stab, mult, v_eff)
+    base = a_factor(pi, k, stab, v_eff)
     assert base != 0.0
     g0 = TorusElement((0.83,))
     h0 = cmath.exp(0.41j)
-    got = a_factor_general(pi, k, stab, mult, v_eff, g0, h0)
+    got = a_factor_general(pi, k, stab, v_eff, g0, h0)
     expect = np.conj(character(pi, g0)) * h0**k * base
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_a_factor_general_zero_stays_zero():
-    stab, mult, v_eff = _center_data(P1, BALANCED, "projective")
-    got = a_factor_general(IrrepLabel((1,)), 6, stab, mult, v_eff, TorusElement((0.5,)), 1.0 + 0.0j)
+    stab, v_eff = _center_data(P1, BALANCED, "projective")
+    got = a_factor_general(IrrepLabel((1,)), 6, stab, v_eff, TorusElement((0.5,)), 1.0 + 0.0j)
     assert got == 0.0
 
 
-def test_a_factor_multiplier_count_guard():
-    stab, mult, v_eff = _center_data(P1, BALANCED, "projective")
+def test_a_factor_guards():
+    stab, v_eff = _center_data(P1, BALANCED, "projective")
     with pytest.raises(ValueError):
-        a_factor(IrrepLabel((0,)), 2, stab, mult[:1], v_eff)
-    with pytest.raises(ValueError):
-        a_factor(IrrepLabel((0,)), 2, stab, mult, 0.0)
+        a_factor(IrrepLabel((0,)), 2, stab, 0.0)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        a_factor(IrrepLabel((0, 0)), 2, stab, v_eff)
 
 
 # -- leading term -------------------------------------------------------------

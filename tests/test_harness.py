@@ -26,9 +26,12 @@ from eqszego.harness import (
     write_report_csv,
 )
 from eqszego.logcomplex import LogComplex, log_diff_mod
+from eqszego.torus import Stabilizer
 
 SQ9 = math.sqrt(0.9)
 SQ1 = math.sqrt(0.1)
+# the zero level of the projective line under weights -1 2
+M12_POINT = (math.sqrt(2 / 3), math.sqrt(1 / 3))
 
 
 # -- config parsing -----------------------------------------------------------
@@ -164,6 +167,13 @@ def test_make_config_parity_adjusted_schedule():
     assert all(a < b for a, b in zip(ks, ks[1:]))
     even = make_config("diagonal", irrep=(0,)).k_schedule
     assert all(k % 2 == 0 for k in even)
+
+
+def test_scalar_p1_weights_are_rejected():
+    # a weight pair (c, c) acts on the projective line by scalars
+    for experiment in ("diagonal", "selection"):
+        with pytest.raises(ValueError, match="stabilizer is infinite"):
+            run_experiment(make_config(experiment, weights=((2, 2),)))
 
 
 def test_make_config_selection_schedule_not_adjusted():
@@ -376,8 +386,8 @@ def test_run_offdiagonal_rank_two_affine_sweep():
 
 def test_large_weights_run_as_fast_as_unit_weights():
     """A stabilizer of order 2,000 or 3,600 is integer data: the run lists
-    its elements once and checks no group axiom.  The covering mW has the
-    rows of W, up to the float character average."""
+    no element and checks no group axiom.  The covering mW has the rows
+    of W."""
     k_affine = tuple(16 * 2**j for j in range(6))
     cases = [
         ({"experiment": "diagonal", "model": "projective"}, ((-1000, 1000),), ((-1, 1),)),
@@ -395,7 +405,60 @@ def test_large_weights_run_as_fast_as_unit_weights():
         assert rep.checks and rep.passed, rep.summary_lines()
         ref = run_experiment(make_config(**kw, weights=unit))
         assert [r.k for r in rep.rows] == [r.k for r in ref.rows]
-        assert max(abs(r.ratio - q.ratio) for r, q in zip(rep.rows, ref.rows)) < 1e-8
+        assert max(abs(r.ratio - q.ratio) for r, q in zip(rep.rows, ref.rows)) < 1e-12
+
+
+def test_runs_list_no_stabilizer_elements(monkeypatch):
+    """Which levels carry the isotype comes from the Smith data alone."""
+
+    def refuse(self):
+        raise AssertionError("a run listed the stabilizer's elements")
+
+    monkeypatch.setattr(Stabilizer, "elements", property(refuse))
+    for experiment, model in (
+        ("diagonal", None),
+        ("offdiagonal", "affine"),
+        ("offdiagonal", "projective"),
+        ("selection", None),
+    ):
+        rep = run_experiment(make_config(experiment, model=model))
+        assert rep.passed, rep.summary_lines()
+
+
+def test_diagonal_on_weights_minus_one_two():
+    # only multiples of 3 carry irrep 0; the float character average kept
+    # only k = 6400, with an exact zero
+    rep = run_experiment(make_config("diagonal", weights=((-1, 2),), point=M12_POINT))
+    assert rep.passed, rep.summary_lines()
+    assert [r.k for r in rep.rows] == [27, 51, 102, 201, 402, 801, 1602, 3201, 6402]
+
+
+def test_selection_on_weights_minus_one_two():
+    # k = 3 carries irrep 0 through J = (2, 1), so parity is the wrong rule
+    rep = run_experiment(make_config("selection", weights=((-1, 2),), point=M12_POINT))
+    assert rep.passed, rep.summary_lines()
+    assert [r.k for r in rep.rows] == [k for k in range(1, 201) if k % 3]
+
+
+@pytest.mark.parametrize("weights", ["-1 1", "-1 2", "-2 3", "0 1"])
+def test_decay_rate_is_relative_entropy(weights):
+    """The dominant monomial has j_0 / k -> q = w_1 / (w_1 - w_0), so the
+    rate is q log(q/p) + (1-q) log((1-q)/(1-p)) at p = |z_0|^2."""
+    w0, w1 = parse_weight_rows(weights)[0]
+    q, p = w1 / (w1 - w0), 0.9
+    expected = sum(a * math.log(a / b) for a, b in ((q, p), (1 - q, 1 - p)) if a > 0)
+    rep = run_experiment(make_config("decay", weights=((w0, w1),)))
+    assert rep.passed, rep.summary_lines()
+    assert rep.fits["expected_rate"] == pytest.approx(expected, rel=1e-14)
+    if weights == "-1 1":
+        assert rep.fits["expected_rate"] == 0.5108256237659923
+
+
+def test_decay_rate_needs_a_zero_level():
+    # weights of one sign have no zero level; a far irrep still gives levels
+    cfg = make_config("decay", weights=((1, 2),), irrep=(-3000,), k_schedule=(1500, 1600, 1700))
+    with pytest.raises(ValueError, match="opposite sign"):
+        run_experiment(cfg)
 
 
 def test_run_translated_guards():

@@ -8,6 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from eqszego.geometry import build_split_frame, hermitian_data, norm_sq
+from eqszego.kernels import equivariant_kernel_weightsum
 from eqszego.torus import (
     IrrepLabel,
     TorusElement,
@@ -362,6 +363,46 @@ def test_fiber_multiplier_is_a_character():
 def test_fiber_multiplier_rejects_non_stabilizer():
     with pytest.raises(ValueError):
         fiber_multiplier(P1, TorusElement((0.3,)), BALANCED)
+
+
+# -- which levels carry an isotype --------------------------------------------
+
+
+@st.composite
+def zero_level_cases(draw):
+    """Integer weight rows orthogonal to a positive integer vector q and a
+    point with |z_l|^2 proportional to q, so the point is on the zero
+    level and every coordinate is nonzero."""
+    model = draw(st.sampled_from(("affine", "projective")))
+    n = draw(st.integers(2, 3))
+    g = draw(st.integers(1, n - 1))
+    q = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    # q_j e_i - q_i e_j is orthogonal to q
+    gens = [q[j] * np.eye(n, dtype=int)[i] - q[i] * np.eye(n, dtype=int)[j]
+            for i, j in itertools.combinations(range(n), 2)]
+    coef = st.integers(-3, 3) if n == 2 else st.integers(-1, 1)
+    mat = np.array([sum(draw(coef) * v for v in gens) for _ in range(g)])
+    if np.linalg.matrix_rank(mat) < g:
+        reject()
+    phases = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)))
+    z = np.sqrt(q / q.sum()) * np.exp(1j * phases)
+    k = draw(st.integers(40, 45))
+    irrep = IrrepLabel(draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g)))
+    return WeightMatrix(mat), z, model, k, irrep
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=zero_level_cases())
+@example(case=(WeightMatrix(((-1, 2),)), np.sqrt([2 / 3, 1 / 3]) + 0j, "projective", 40, IrrepLabel((0,))))
+def test_carries_is_the_character_average_and_the_weight_sum(case):
+    """The integer rule agrees with the float average of chi(t) h_t^k over
+    the listed elements and with a nonzero weight sum."""
+    W, z, model, k, irrep = case
+    stab = stabilizer_of(W, z, model)
+    terms = [character(irrep, t) * fiber_multiplier(W, t, z) ** k for t in stab.elements]
+    x = (z, 0.0) if model == "affine" else z
+    weight_sum = equivariant_kernel_weightsum(W, irrep, k, x, x, model)
+    assert stab.carries(irrep, k) == (abs(sum(terms) / stab.order) > 0.5) == (not weight_sum.is_zero)
 
 
 # -- effective volume -------------------------------------------------------
